@@ -94,15 +94,11 @@ struct OrderedWriteback {
     overhead_pct: f64,
 }
 
-/// One sequential write+fsync workload under a given write-path batching
-/// policy — the deep-queue ablation. With batching off, every
-/// cache-pressure eviction submits one extent-sized chain and immediately
-/// drains it (the PR 4 lockstep, ~15 MB/s); with it on, dirty runs gather
-/// into multi-control-block chains kept up to queue depth in flight.
+/// One sequential write+fsync workload on the batched write path: under
+/// cache pressure, dirty runs gather into multi-control-block chains kept
+/// up to queue depth in flight.
 #[derive(Debug, Clone, Serialize)]
 struct BatchedWbRun {
-    /// Batched eviction write-back enabled?
-    batched: bool,
     /// Posted write cache on the card? When true, completed writes park in
     /// volatile card RAM and only the fsync's FLUSH barrier (plus the
     /// intent log's FUA commit records) makes them durable — the barrier
@@ -201,9 +197,8 @@ struct BenchFs {
     flusher_on: FlushRun,
     flusher_off: FlushRun,
     ordered_writeback: OrderedWriteback,
-    /// Deep-queue batched write-back vs the submit-then-drain lockstep.
+    /// Deep-queue batched write-back on a write-through card.
     batched_wb_on: BatchedWbRun,
-    batched_wb_off: BatchedWbRun,
     /// The batched write path on a posted-write-cache card: completed
     /// writes park in volatile card RAM, and durability comes only from
     /// the fsync's FLUSH barrier plus the intent log's FUA commit records.
@@ -230,8 +225,6 @@ struct BenchFs {
     pio_prefetch_gain: f64,
     /// dma_on over dma_off: what the DMA data path + queue buy end to end.
     dma_speedup: f64,
-    /// batched_wb_on over batched_wb_off on sequential write+fsync.
-    batched_wb_speedup: f64,
     /// Throughput cost of the posted-cache FLUSH/FUA barriers, in percent
     /// of `batched_wb_on` (negative = free). Acceptance bar: < 5%.
     posted_barrier_overhead_pct: f64,
@@ -317,11 +310,11 @@ fn flush_run(background: bool) -> FlushRun {
         .with_task_ctx(tid, |ctx| ctx.close(fd))
         .expect("close spike");
     let close_cycles = sys.kernel.board.clock.cycles(core) - before;
-    let dirty_after_close = sys.kernel.fat_dirty_blocks() as u64;
+    let dirty_after_close = sys.kernel.fat_cache().dirty_blocks() as u64;
     // Let the kbio thread drain to quiescence (a no-op when it flushed
     // synchronously at close).
     sys.kernel
-        .run_until(|k| k.fat_dirty_blocks() == 0, 10_000_000);
+        .run_until(|k| k.fat_cache().dirty_blocks() == 0, 10_000_000);
     FlushRun {
         background_flush: background,
         bytes: data.len() as u64,
@@ -366,17 +359,16 @@ fn ordered_run(ordered: bool) -> OrderedRun {
     }
 }
 
-fn batched_run(batched: bool, posted: bool) -> BatchedWbRun {
+fn batched_run(posted: bool) -> BatchedWbRun {
     let mut options = SystemOptions::benchmark(Platform::Pi3);
     options.window_manager = false;
     options.small_assets = true;
     let mut sys = ProtoSystem::build(options).expect("system");
-    sys.kernel.set_batched_writeback(batched);
     sys.kernel.set_posted_write_cache(posted);
     let tid = sys.kernel.spawn_bench_task("writer").expect("task");
     let core = sys.kernel.task(tid).expect("task exists").core;
     let cache_before = sys.kernel.fat_cache_stats();
-    let occupancy_before = sys.kernel.fat_queue_occupancy();
+    let occupancy_before = sys.kernel.fat_cache().queue_occupancy();
     let dma_before = sys.kernel.board.sdhost.dma_cmds();
     // 2 MB through the 512 KB cache: ~3/4 of the blocks move under cache
     // pressure (the eviction path), the rest at the fsync barrier — exactly
@@ -395,14 +387,14 @@ fn batched_run(batched: bool, posted: bool) -> BatchedWbRun {
     let cache = sys.kernel.fat_cache_stats();
     let queue_occupancy: Vec<u64> = sys
         .kernel
-        .fat_queue_occupancy()
+        .fat_cache()
+        .queue_occupancy()
         .iter()
         .zip(occupancy_before.iter())
         .map(|(a, b)| a - b)
         .collect();
     let queue_high_water = queue_occupancy.iter().rposition(|&c| c > 0).unwrap_or(0);
     BatchedWbRun {
-        batched,
         posted,
         bytes: data.len() as u64,
         ms,
@@ -612,19 +604,12 @@ fn main() {
         fl_off.writer_sd_cycles
     );
 
-    // 5. Deep-queue batched write-back: multi-extent eviction chains vs the
-    // submit-then-drain lockstep, on sequential write+fsync.
-    let bw_on = batched_run(true, false);
-    let bw_off = batched_run(false, false);
-    let batched_wb_speedup = bw_off.ms / bw_on.ms.max(0.01);
+    // 5. Deep-queue batched write-back: multi-extent eviction chains on
+    // sequential write+fsync.
+    let bw_on = batched_run(false);
     println!(
-        "batched write-back  : {:.2} MB/s batched ({} chains, depth {} peak, {} stalls) vs {:.2} MB/s lockstep ({} chains) = {batched_wb_speedup:.1}x",
-        bw_on.mb_s,
-        bw_on.dma_cmds,
-        bw_on.queue_high_water,
-        bw_on.queue_full_stalls,
-        bw_off.mb_s,
-        bw_off.dma_cmds
+        "batched write-back  : {:.2} MB/s ({} chains, depth {} peak, {} stalls)",
+        bw_on.mb_s, bw_on.dma_cmds, bw_on.queue_high_water, bw_on.queue_full_stalls
     );
     println!(
         "                      queue occupancy after submit: {:?}",
@@ -634,7 +619,7 @@ fn main() {
     // 5b. The same batched write path on a posted-write-cache card: every
     // fsync pays a real FLUSH barrier and every intent-log commit record a
     // FUA program. Acceptance bar: within 5% of the write-through run.
-    let posted_barrier = batched_run(true, true);
+    let posted_barrier = batched_run(true);
     let posted_barrier_overhead_pct = if bw_on.mb_s > 0.0 {
         (bw_on.mb_s - posted_barrier.mb_s) / bw_on.mb_s * 100.0
     } else {
@@ -705,7 +690,6 @@ fn main() {
         flusher_off: fl_off,
         ordered_writeback,
         batched_wb_on: bw_on.clone(),
-        batched_wb_off: bw_off.clone(),
         posted_cache_barrier: posted_barrier.clone(),
         group_commit_on: gc_on,
         group_commit_off: gc_off,
@@ -717,7 +701,6 @@ fn main() {
         prefetch_gain,
         pio_prefetch_gain,
         dma_speedup,
-        batched_wb_speedup,
         posted_barrier_overhead_pct,
         xv6fs_journal_overhead_pct,
         group_commit_reduction,
@@ -738,7 +721,6 @@ fn main() {
             ("fat_read_dma_mb_s", dma_on.mb_s),
             ("fat_read_dma_no_prefetch_mb_s", dma_prefetch_off.mb_s),
             ("fat_write_batched_mb_s", bw_on.mb_s),
-            ("fat_write_lockstep_mb_s", bw_off.mb_s),
             ("fat_write_posted_barrier_mb_s", posted_barrier.mb_s),
             ("xv6fs_journal_on_ms", jr_on.ms),
             ("xv6fs_journal_off_ms", jr_off.ms),

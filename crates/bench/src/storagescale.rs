@@ -195,14 +195,14 @@ pub fn scale_point(cores: usize) -> StorageScalePoint {
     let busy_before: Vec<u64> = (0..active)
         .map(|c| sys.kernel.sched.core_stats(c).busy_cycles)
         .collect();
-    let shard_before = sys.kernel.fat_shard_stats();
+    let shard_before = sys.kernel.fat_cache().shard_stats();
     let warm = spawn_readers(&mut sys, WARM_PASSES);
     run_to_exit(&mut sys, &warm, 240_000_000);
     let elapsed_cycles = (0..active)
         .map(|c| sys.kernel.sched.core_stats(c).busy_cycles - busy_before[c])
         .max()
         .unwrap_or(0);
-    let shard_after = sys.kernel.fat_shard_stats();
+    let shard_after = sys.kernel.fat_cache().shard_stats();
 
     let loads: Vec<f64> = shard_after
         .iter()

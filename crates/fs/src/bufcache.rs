@@ -34,9 +34,7 @@
 //!   flusher thread calls on a timer so write-back cost is paid in the
 //!   background instead of spiking whichever task closes last. Both drains
 //!   coalesce adjacent dirty blocks (across extents) into single range
-//!   commands (CMD25). [`FlushGuard`] ties a full flush to scope exit for
-//!   callers that need it; a flush that fails inside the guard's `Drop` is
-//!   counted in [`BufCacheStats::dropped_flush_errors`] rather than lost.
+//!   commands (CMD25).
 //! * **Streaming prefetch.** The cache tracks whether successive range reads
 //!   are sequential ([`BufCache::sequential_streak`]); when the prefetch
 //!   policy is on ([`BufCache::set_prefetch`]) the FAT32 layer uses that
@@ -68,9 +66,8 @@
 //!     reaped. A completion that reports a fault or a torn power-cut write
 //!     converts `writing` back to dirty — a failed chain is retryable and
 //!     loses nothing ([`BufCacheStats::async_write_errors`]).
-//!   - *Batched eviction (the deep-queue write path)*: a cache-pressure
-//!     eviction no longer submits one extent-sized chain and drains it in
-//!     lockstep. The victim's dirty runs are merged with every other ready
+//!   - *Batched eviction (the deep-queue write path)*: under cache
+//!     pressure the victim's dirty runs are merged with every other ready
 //!     dirty *data* run across the cache, packed into bounded
 //!     multi-control-block chains ([`WB_CHAIN_BLOCKS`] blocks /
 //!     [`WB_CHAIN_RUNS`] CBs each — adjacent runs from different extents
@@ -80,10 +77,9 @@
 //!     victim's own chain. One stall therefore pays for many future
 //!     evictions and the queue stays genuinely deep
 //!     ([`BufCacheStats::batched_evictions`], the
-//!     [`BufCache::queue_occupancy`] histogram;
-//!     [`BufCache::set_batched_writeback`] restores the one-deep lockstep
-//!     for the ablation). A writer that still hits a full queue counts a
-//!     [`BufCacheStats::queue_full_stalls`] before spin-reaping; the
+//!     [`BufCache::queue_occupancy`] histogram). A writer that still hits
+//!     a full queue counts a [`BufCacheStats::queue_full_stalls`] before
+//!     spin-reaping; the
 //!     kernel's write path goes one better and *yields*: it kicks the
 //!     flusher, parks the writer on the block-I/O wait channel and retries
 //!     the write after the completion interrupt
@@ -391,9 +387,9 @@ pub struct BufCacheStats {
     pub prefetch_cmds: u64,
     /// Blocks brought in ahead of demand by [`BufCache::prefetch_range`].
     pub prefetched_blocks: u64,
-    /// Flushes that failed inside [`FlushGuard`]'s `Drop` (the error cannot
-    /// propagate out of a destructor; it is recorded here instead of being
-    /// silently discarded — the dirty blocks stay dirty).
+    /// Always zero: no flush path swallows its error any more. The field
+    /// stays until the benchmark, which builds this struct field by field,
+    /// can drop it in the same change.
     pub dropped_flush_errors: u64,
     /// Metadata blocks written while their recorded write-order dependencies
     /// were still dirty — the ordered drain's escape hatch for dependency
@@ -596,10 +592,6 @@ pub struct BufCache {
     /// Cleared when the group commits or a full flush makes the frees
     /// durable.
     pending_frees: std::collections::BTreeSet<u32>,
-    /// When false, cache-pressure eviction over a queued device reverts to
-    /// the PR 4 submit-one-chain-then-drain lockstep (the batched-write-back
-    /// ablation switch). On by default.
-    batched_wb: bool,
     /// In-flight asynchronous fills: command id → the runs it will install.
     inflight_reads: HashMap<u64, Vec<Run>>,
     /// In-flight asynchronous write-backs: command id → the runs it persists.
@@ -694,7 +686,6 @@ pub struct BufCache {
     partial_flushes: u64,
     prefetch_cmds: u64,
     prefetched_blocks: u64,
-    dropped_flush_errors: u64,
     /// Sequential-stream tracking table (see [`STREAM_SLOTS`]).
     streams: [Stream; STREAM_SLOTS],
 }
@@ -733,7 +724,6 @@ impl BufCache {
             group: std::collections::BTreeSet::new(),
             group_ops: 0,
             pending_frees: std::collections::BTreeSet::new(),
-            batched_wb: true,
             inflight_reads: HashMap::new(),
             inflight_writes: HashMap::new(),
             affinity_cores: 0,
@@ -774,9 +764,24 @@ impl BufCache {
             partial_flushes: 0,
             prefetch_cmds: 0,
             prefetched_blocks: 0,
-            dropped_flush_errors: 0,
             streams: [Stream::default(); STREAM_SLOTS],
         }
+    }
+
+    /// Rebuilds the cache as `shards` × `extents_per_shard` extents. The
+    /// policy survives: coalescing, prefetch, write ordering, core affinity
+    /// and the write retry budget. Everything else starts fresh, statistics
+    /// included. Like [`BufCache::invalidate_all`] this drops dirty data, so
+    /// flush first.
+    pub fn reshape(&mut self, shards: usize, extents_per_shard: usize) {
+        *self = BufCache {
+            coalesce: self.coalesce,
+            prefetch: self.prefetch,
+            ordered: self.ordered,
+            affinity_cores: self.affinity_cores,
+            write_retry_budget: self.write_retry_budget,
+            ..Self::with_geometry(shards, extents_per_shard)
+        };
     }
 
     /// Enables or disables range-command coalescing (the §5.2 ablation
@@ -812,18 +817,6 @@ impl BufCache {
     /// Whether the drain is dependency-ordered.
     pub fn ordered_writeback(&self) -> bool {
         self.ordered
-    }
-
-    /// Enables or disables batched eviction write-back over queued devices
-    /// (the deep-queue ablation switch). Off reverts cache-pressure eviction
-    /// to the submit-one-chain-then-drain lockstep.
-    pub fn set_batched_writeback(&mut self, batched: bool) {
-        self.batched_wb = batched;
-    }
-
-    /// Whether eviction write-back batches chains across extents.
-    pub fn batched_writeback(&self) -> bool {
-        self.batched_wb
     }
 
     /// Occupancy histogram of the device command queue, sampled right after
@@ -1126,7 +1119,7 @@ impl BufCache {
             partial_flushes: self.partial_flushes,
             prefetch_cmds: self.prefetch_cmds,
             prefetched_blocks: self.prefetched_blocks,
-            dropped_flush_errors: self.dropped_flush_errors,
+            dropped_flush_errors: 0,
             forced_meta_writes: self.forced_meta_writes,
             demand_waits: self.demand_waits,
             async_write_errors: self.async_write_errors,
@@ -2089,21 +2082,10 @@ impl BufCache {
                 }
             }
             if dev.queue_depth() > 0 {
-                if self.batched_wb {
-                    return self.evict_batched(dev, si, victim_base, runs);
-                }
-                // The pre-batching lockstep (kept as the ablation's off
-                // switch): submit the victim's chain and wait for its
-                // confirmation before reusing the slot.
-                self.submit_write_runs(dev, &runs)?;
-                self.drain_writes(dev)?;
-                if let Some(err) = self.async_error.take() {
-                    return Err(err);
-                }
-            } else {
-                for run in runs {
-                    self.write_out_run(dev, run)?;
-                }
+                return self.evict_batched(dev, si, victim_base, runs);
+            }
+            for run in runs {
+                self.write_out_run(dev, run)?;
             }
         }
         // The closure flush never adds or removes extents, but re-find
@@ -3117,14 +3099,8 @@ impl BufCache {
     /// Submits `runs` as back-to-back bounded chains ([`WB_CHAIN_BLOCKS`] /
     /// [`WB_CHAIN_RUNS`] each). Used by the barriers: blocking on a full
     /// queue is fine there — the whole point of a barrier is to wait — and
-    /// splitting keeps the queue pipelined instead of monolithic. With
-    /// batched write-back off, the barrier reverts to the PR 4 shape (one
-    /// chain carrying every run) so the ablation baseline really is the
-    /// one-deep pipeline throughout.
+    /// splitting keeps the queue pipelined instead of monolithic.
     fn submit_chains(&mut self, dev: &mut dyn BlockDevice, runs: &[Run]) -> FsResult<u64> {
-        if !self.batched_wb {
-            return self.submit_write_runs(dev, runs);
-        }
         let mut total = 0u64;
         for chain in pack_chains(runs, WB_CHAIN_BLOCKS, WB_CHAIN_RUNS) {
             total += self.submit_write_runs(dev, &chain)?;
@@ -3444,82 +3420,6 @@ impl BufCache {
         self.sanitize_check("flush_some_async");
         Ok(submitted)
     }
-
-    /// Borrows the cache and device together, flushing when the guard drops.
-    pub fn guard<'c, 'd>(&'c mut self, dev: &'d mut dyn BlockDevice) -> FlushGuard<'c, 'd> {
-        FlushGuard {
-            cache: self,
-            dev,
-            armed: true,
-        }
-    }
-}
-
-/// A scoped cache+device pairing that flushes dirty data on drop — the
-/// "close the volume before yanking the card" idiom.
-///
-/// Prefer [`FlushGuard::finish`] on the success path: a flush error inside
-/// `Drop` cannot propagate, so it is only *counted*
-/// ([`BufCacheStats::dropped_flush_errors`]) and the affected blocks stay
-/// dirty in the cache.
-pub struct FlushGuard<'c, 'd> {
-    cache: &'c mut BufCache,
-    dev: &'d mut dyn BlockDevice,
-    /// Whether the drop-flush is still pending ([`FlushGuard::finish`]
-    /// disarms it).
-    armed: bool,
-}
-
-impl FlushGuard<'_, '_> {
-    /// Reads one block through the cache.
-    pub fn read(&mut self, lba: u64, out: &mut [u8]) -> FsResult<()> {
-        self.cache.read(self.dev, lba, out)
-    }
-
-    /// Writes one block through the cache.
-    pub fn write(&mut self, lba: u64, data: &[u8]) -> FsResult<()> {
-        self.cache.write(self.dev, lba, data)
-    }
-
-    /// Reads a block range through the cache.
-    pub fn read_range(&mut self, lba: u64, count: u64, out: &mut [u8]) -> FsResult<()> {
-        self.cache.read_range(self.dev, lba, count, out)
-    }
-
-    /// Writes a block range through the cache.
-    pub fn write_range(&mut self, lba: u64, count: u64, data: &[u8]) -> FsResult<()> {
-        self.cache.write_range(self.dev, lba, count, data)
-    }
-
-    /// Flushes explicitly (errors surface here; a later drop flush only has
-    /// anything to do if more writes follow).
-    pub fn flush(&mut self) -> FsResult<()> {
-        self.cache.flush(self.dev)
-    }
-
-    /// Flushes and disarms the drop-flush, propagating any error — the
-    /// close-path equivalent of `fsync` + `close`. After `finish` the guard
-    /// is consumed and dropping it performs no further I/O.
-    pub fn finish(mut self) -> FsResult<()> {
-        self.armed = false;
-        self.cache.flush(self.dev)
-    }
-
-    /// Read access to the underlying cache (stats, lengths).
-    pub fn cache(&self) -> &BufCache {
-        self.cache
-    }
-}
-
-impl Drop for FlushGuard<'_, '_> {
-    fn drop(&mut self) {
-        // Errors cannot propagate out of `Drop`; record them so callers (and
-        // tests) can observe that a drop-flush failed, and keep the blocks
-        // dirty for a later retry instead of discarding them.
-        if self.armed && self.cache.flush(self.dev).is_err() {
-            self.cache.dropped_flush_errors += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -3792,23 +3692,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_guard_flushes_on_drop() {
-        let mut dev = MemDisk::new(64);
-        let mut bc = BufCache::default();
-        {
-            let mut g = bc.guard(&mut dev);
-            g.write(5, &[3u8; BLOCK_SIZE]).unwrap();
-            // Still cached: device untouched.
-            assert_eq!(g.cache().dirty_blocks(), 1);
-        }
-        // Guard dropped → dirty data written back.
-        assert_eq!(bc.dirty_blocks(), 0);
-        let mut raw = [0u8; BLOCK_SIZE];
-        dev.read_block(5, &mut raw).unwrap();
-        assert_eq!(raw, [3u8; BLOCK_SIZE]);
-    }
-
-    #[test]
     fn device_faults_propagate_through_fills_and_writebacks() {
         let mut dev = MemDisk::new(64);
         dev.inject_fault(9);
@@ -4005,30 +3888,6 @@ mod tests {
         bc.read(&mut dev, 4000, &mut one).unwrap();
         assert_eq!(bc.stats().hits, h + 1, "metadata survived the scan");
         assert_eq!(bc.stats().misses, miss_before + 128);
-    }
-
-    #[test]
-    fn flush_guard_finish_propagates_errors_and_drop_counts_them() {
-        let mut dev = MemDisk::new(64);
-        dev.inject_fault(5);
-        let mut bc = BufCache::default();
-        {
-            let mut g = bc.guard(&mut dev);
-            g.write(5, &[1u8; BLOCK_SIZE]).unwrap();
-            assert!(g.finish().is_err(), "finish surfaces the flush error");
-        }
-        assert_eq!(bc.dirty_blocks(), 1, "data survives the failed finish");
-        assert_eq!(bc.stats().dropped_flush_errors, 0, "finish disarmed drop");
-        {
-            let mut g = bc.guard(&mut dev);
-            g.write(6, &[2u8; BLOCK_SIZE]).unwrap();
-            // Guard dropped with the fault still armed: the error is counted.
-        }
-        assert_eq!(bc.stats().dropped_flush_errors, 1);
-        assert!(bc.dirty_blocks() >= 1, "drop failure keeps blocks dirty");
-        dev.clear_faults();
-        bc.flush(&mut dev).unwrap();
-        assert_eq!(bc.dirty_blocks(), 0);
     }
 
     #[test]

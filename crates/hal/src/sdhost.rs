@@ -149,8 +149,8 @@ pub struct SdHost {
     /// submitting task's accounting window sees them).
     dma_blocks: u64,
     /// Statistics: deepest the command queue has ever been (queued +
-    /// in-flight). One-deep means the submit-then-drain lockstep; the
-    /// batched write-back path should push this toward [`SD_QUEUE_DEPTH`].
+    /// in-flight). The batched write-back path pushes this toward
+    /// [`SD_QUEUE_DEPTH`].
     queue_high_water: usize,
 }
 

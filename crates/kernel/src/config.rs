@@ -140,7 +140,9 @@ pub struct KernelConfig {
     /// task closes last. `fsync` and unmount still force a full synchronous
     /// flush.
     pub background_flush: bool,
-    /// How often the `kbio` thread wakes to drain dirty extents, in ms.
+    /// The midpoint of the `kbio` thread's wakeup cadence, in ms: the
+    /// flusher sleeps four intervals while both caches are clean and a
+    /// quarter interval past the dirty high-water mark.
     pub flush_interval_ms: u64,
     /// Maximum blocks one `kbio` pass writes back (bounds how long the
     /// background thread holds the SD bus per wakeup).
@@ -164,17 +166,6 @@ pub struct KernelConfig {
     /// evolution that lifts the polled-transfer floor. Off in the xv6
     /// baseline, whose driver stays polled.
     pub sd_dma: bool,
-    /// Drive the `kbio` flusher's wakeup interval off the cache dirty ratio
-    /// (sleep longer when clean, wake early past the high-water mark)
-    /// instead of the fixed `flush_interval_ms`.
-    pub adaptive_flush: bool,
-    /// Batched eviction write-back: under cache pressure the write path
-    /// gathers dirty runs across extents into bounded multi-control-block
-    /// chains, keeps up to the SD queue's depth in flight, and evicts
-    /// whichever extent settles first — instead of submitting one
-    /// extent-sized chain and immediately draining it. Off restores the
-    /// PR 4 one-deep lockstep (the ablation baseline).
-    pub batched_writeback: bool,
     /// How many FAT32 logged metadata transactions one intent-log commit
     /// record may cover (group commit). 1 = every logged operation commits
     /// (and is durable) on return; larger groups pay one checksummed commit
@@ -184,18 +175,6 @@ pub struct KernelConfig {
     /// Upper bound on how long a pending commit group may sit open before
     /// the `kbio` flusher force-commits it, in ms.
     pub group_commit_timeout_ms: u64,
-    /// Soft shard-to-core affinity in the FAT cache: the shard array is
-    /// partitioned across the active cores and a core's newly allocated
-    /// extents prefer its home partition (spilling — and stealing — only
-    /// when home is full), so each core's misses and write-back chains stay
-    /// on its own shards. Off restores pure LBA-hash placement.
-    pub shard_affinity: bool,
-    /// Per-core DMA completion reaping: the `Dma0` handler (core 0) routes
-    /// each SD chain's completion to the core that submitted it, which
-    /// applies the bookkeeping on its own clock in the same scheduler pass;
-    /// `kbio` adopts chains whose owner core left the active set. Off
-    /// restores core-0 reaping of everything.
-    pub per_core_reap: bool,
     /// Interrupt-blocked demand I/O: a scheduled task whose FAT read hits
     /// an in-flight chain (or whose write finds the SD queue full) blocks
     /// on the block-I/O wait channel and is woken by the completion router,
@@ -257,12 +236,8 @@ impl KernelConfig {
             ordered_writeback: true,
             fat_intent_log: true,
             sd_dma: n >= 5,
-            adaptive_flush: n >= 5,
-            batched_writeback: n >= 5,
             group_commit_ops: if n >= 5 { 8 } else { 1 },
             group_commit_timeout_ms: 20,
-            shard_affinity: n >= 5,
-            per_core_reap: n >= 5,
             blocking_io: false,
             xv6fs_journal: true,
             posted_write_cache: false,
@@ -274,35 +249,26 @@ impl KernelConfig {
         Self::for_stage(PrototypeStage::Desktop)
     }
 
-    /// The xv6-armv8 baseline configuration used in Figure 9: a complete OS
-    /// but with the baseline's slower library and storage behaviour.
-    pub fn xv6_baseline() -> Self {
-        let mut c = Self::desktop();
-        c.variant = KernelVariant::Xv6Baseline;
-        c.window_manager = false;
-        c.fat32 = true;
-        // xv6 has no background flusher and no read-ahead: close drains
-        // synchronously and every miss is a demand miss (boot also enforces
-        // this whenever the variant is Xv6Baseline).
-        c.background_flush = false;
-        c.prefetch = false;
-        // The baseline predates the crash-consistency layers: dirty blocks
-        // drain in pure LBA order and metadata updates are not logged.
-        c.ordered_writeback = false;
-        c.fat_intent_log = false;
-        c.xv6fs_journal = false;
-        // ...and its SD driver polls the FIFO — no DMA, no command queue,
-        // no deep-queue write batching, no group-committed log.
-        c.sd_dma = false;
-        c.adaptive_flush = false;
-        c.batched_writeback = false;
-        c.group_commit_ops = 1;
-        // One shared cache, one reaping core, spinning demand reads: the
-        // per-core block stack is a Proto-only evolution.
-        c.shard_affinity = false;
-        c.per_core_reap = false;
-        c.blocking_io = false;
-        c
+    /// Applies the variant's storage policy; `Kernel::boot` calls this
+    /// before it reads any storage knob. Proto keeps every knob as
+    /// configured. This is the one definition of the xv6-armv8 baseline that
+    /// Figure 9 compares against: no background flusher and no read-ahead
+    /// (close drains synchronously, every miss is a demand miss), none of
+    /// the crash-consistency layers (pure-LBA drain, no intent log, no
+    /// journal, a commit per operation), a polled SD driver and spinning
+    /// demand reads. Its caches also issue one device command per block;
+    /// boot derives that cache policy from the variant.
+    pub fn apply_variant(&mut self) {
+        if self.variant == KernelVariant::Xv6Baseline {
+            self.background_flush = false;
+            self.prefetch = false;
+            self.ordered_writeback = false;
+            self.fat_intent_log = false;
+            self.xv6fs_journal = false;
+            self.group_commit_ops = 1;
+            self.sd_dma = false;
+            self.blocking_io = false;
+        }
     }
 
     /// Checks that a capability needed by a syscall or driver is present,
@@ -329,6 +295,13 @@ impl Default for KernelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn baseline() -> KernelConfig {
+        let mut b = KernelConfig::desktop();
+        b.variant = KernelVariant::Xv6Baseline;
+        b.apply_variant();
+        b
+    }
 
     #[test]
     fn feature_matrix_matches_table1_milestones() {
@@ -376,27 +349,18 @@ mod tests {
         let p5 = KernelConfig::desktop();
         assert!(p5.background_flush && p5.prefetch);
         assert!(p5.flush_interval_ms > 0 && p5.flush_budget_blocks > 0);
-        let b = KernelConfig::xv6_baseline();
+        let b = baseline();
         assert!(!b.background_flush && !b.prefetch);
         assert!(!b.ordered_writeback && !b.fat_intent_log);
         assert!(p5.ordered_writeback && p5.fat_intent_log);
         assert!(p4.ordered_writeback, "ordering is a correctness default");
-        assert!(p5.sd_dma && p5.adaptive_flush);
+        assert!(p5.sd_dma);
         assert!(!b.sd_dma, "the baseline's SD driver stays polled");
         assert!(!p4.sd_dma, "prototype 4 has no SD card at all");
-        assert!(p5.batched_writeback && p5.group_commit_ops > 1);
+        assert!(p5.group_commit_ops > 1);
         assert!(p5.group_commit_timeout_ms > 0);
-        assert!(
-            !b.batched_writeback && b.group_commit_ops == 1,
-            "the baseline keeps the one-deep write path and per-op commits"
-        );
+        assert_eq!(b.group_commit_ops, 1, "the baseline commits per op");
         assert_eq!(p4.group_commit_ops, 1, "group commit is a desktop knob");
-        assert!(p5.shard_affinity && p5.per_core_reap);
-        assert!(
-            !b.shard_affinity && !b.per_core_reap,
-            "the baseline keeps hashed placement and core-0 reaping"
-        );
-        assert!(!p4.shard_affinity && !p4.per_core_reap);
         assert!(
             !p5.blocking_io && !b.blocking_io,
             "blocking demand I/O is opt-in via Kernel::set_blocking_io"
@@ -414,8 +378,11 @@ mod tests {
 
     #[test]
     fn xv6_baseline_is_a_distinct_variant() {
-        let b = KernelConfig::xv6_baseline();
+        let b = baseline();
         assert_eq!(b.variant, KernelVariant::Xv6Baseline);
         assert_ne!(b.variant, KernelConfig::desktop().variant);
+        let mut p5 = KernelConfig::desktop();
+        p5.apply_variant();
+        assert_eq!(p5, KernelConfig::desktop(), "Proto keeps every knob");
     }
 }

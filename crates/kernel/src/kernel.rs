@@ -77,8 +77,8 @@ pub(crate) struct SdSnapshot {
 macro_rules! fat_dev {
     ($k:expr, $core:expr) => {{
         // Stamp the operating core on the cache first: extent placement
-        // (shard affinity) and chain ownership (per-core completion
-        // reaping) key off the core driving this device instance.
+        // (the core's home shards) and chain ownership (which core reaps a
+        // completion) key off the core driving this device instance.
         $k.fat_bufcache.set_home_core($core);
         let total = $k.board.sdhost.total_blocks();
         protofs::block::SdBlockDevice::with_dma(
@@ -504,6 +504,7 @@ impl Kernel {
         if self.booted {
             return Ok(self.boot_stats);
         }
+        self.config.apply_variant();
         let cost = self.board.cost.clone();
         // Firmware loads the kernel image from the SD card before the ARM
         // cores even start.
@@ -559,7 +560,6 @@ impl Kernel {
         if self.config.xv6fs {
             let mut ramdisk = MemDisk::new(RAMDISK_BYTES / protofs::BLOCK_SIZE as u64);
             let mut bc = BufCache::default();
-            bc.set_ordered_writeback(self.config.ordered_writeback);
             let mut fs = Xv6Fs::mkfs(
                 &mut ramdisk,
                 &mut bc,
@@ -593,7 +593,6 @@ impl Kernel {
             self.board.charge(0, cost.boot_sd_init);
             let total = self.board.sdhost.total_blocks();
             let mut bc = BufCache::default();
-            bc.set_ordered_writeback(self.config.ordered_writeback);
             let fat = {
                 let mut dev = protofs::block::SdBlockDevice::new(
                     &mut self.board.sdhost,
@@ -619,33 +618,6 @@ impl Kernel {
             self.mounts = MountTable::with_fat();
         }
 
-        // The xv6-baseline variant has no multi-block I/O, no read-ahead and
-        // no background flusher: its cache issues one SD command per block
-        // (the policy the §5.2 range coalescing replaced) and close drains
-        // synchronously.
-        if self.config.variant == KernelVariant::Xv6Baseline {
-            self.fat_bufcache.set_coalescing(false);
-            self.root_bufcache.set_coalescing(false);
-            self.config.background_flush = false;
-            self.config.prefetch = false;
-            self.config.ordered_writeback = false;
-            self.config.sd_dma = false;
-            self.fat_bufcache.set_ordered_writeback(false);
-            self.root_bufcache.set_ordered_writeback(false);
-            self.config.batched_writeback = false;
-            self.config.group_commit_ops = 1;
-            self.config.shard_affinity = false;
-            self.config.per_core_reap = false;
-            self.config.blocking_io = false;
-            self.config.xv6fs_journal = false;
-            if let Some(f) = self.fatfs.as_mut() {
-                f.set_intent_log(false);
-                f.set_group_commit_ops(1);
-            }
-            if let Some(f) = self.rootfs.as_mut() {
-                f.set_journal(false);
-            }
-        }
         // Posted device write cache: writes park in volatile card/ramdisk RAM
         // until a FLUSH/FUA barrier. The consistency layers above already
         // emit the barriers; this knob makes cuts actually test them.
@@ -655,21 +627,20 @@ impl Kernel {
             }
             self.board.sdhost.set_posted_writes(true);
         }
-        self.fat_bufcache.set_prefetch(self.config.prefetch);
-        self.root_bufcache.set_prefetch(self.config.prefetch);
-        self.fat_bufcache
-            .set_batched_writeback(self.config.batched_writeback);
-        self.root_bufcache
-            .set_batched_writeback(self.config.batched_writeback);
-        // Shard-to-core affinity: partition the FAT cache's shards across
-        // the active cores so each core's extents (and their write-back
-        // chains) live in its home shards. The root ramdisk cache has no
-        // device-queue contention to shelter from and keeps hashed
-        // placement.
-        if self.config.shard_affinity {
-            self.fat_bufcache
-                .set_core_affinity(self.board.active_cores());
+        // The cache policy, in one place for both volumes. Formatting and
+        // mounting above ran under the cache defaults. The xv6 baseline
+        // issues one SD command per block (the policy §5.2's range
+        // coalescing replaced). Only the FAT cache partitions its shards
+        // across the active cores, so each core's extents and write-back
+        // chains stay in its home shards; the ramdisk has no device queue
+        // to contend for, and the root cache keeps hashed placement.
+        for bc in [&mut self.fat_bufcache, &mut self.root_bufcache] {
+            bc.set_coalescing(self.config.variant == KernelVariant::Proto);
+            bc.set_prefetch(self.config.prefetch);
+            bc.set_ordered_writeback(self.config.ordered_writeback);
         }
+        self.fat_bufcache
+            .set_core_affinity(self.board.active_cores());
         // The DMA data path: scatter-gather chains on channel 0 with the
         // async command queue. The polled mode stays the fallback (and the
         // xv6-baseline behaviour).
@@ -691,12 +662,7 @@ impl Kernel {
 
         // The background write-back flusher kernel thread.
         if self.config.background_flush && (self.config.xv6fs || self.config.fat32) {
-            let kbio_tid = self.spawn_kernel_thread("kbio", Box::new(KbioThread))?;
-            // Write-back is deferrable work; run it below interactive tasks.
-            if let Some(t) = self.tasks.get_mut(&kbio_tid) {
-                t.priority = 3;
-            }
-            self.kbio_task = kbio_tid;
+            self.spawn_kbio()?;
         }
 
         self.printk("proto: boot complete, starting shell");
@@ -1145,10 +1111,10 @@ impl Kernel {
                 // them, which is why no storage byte ever moved by DMA.
                 //
                 // The interrupt controller routes Dma0 to core 0 only, but
-                // with per-core reaping each chain's completion bookkeeping
-                // is applied by the core that *submitted* it: this handler
-                // acts as a router, applying its own chains inline and
-                // parking the rest on the owner's `pending_sd_comps` queue
+                // each chain's completion bookkeeping is applied by the core
+                // that *submitted* it: this handler acts as a router,
+                // applying its own chains inline and parking the rest on
+                // the owner's `pending_sd_comps` queue
                 // (drained later in the same scheduler pass; queues of
                 // since-deactivated cores are adopted by `kbio`).
                 if self.config.sd_dma {
@@ -1157,18 +1123,12 @@ impl Kernel {
                         let mut dev = fat_dev!(self, core);
                         dev.poll_completions()
                     };
-                    if self.config.per_core_reap {
-                        for c in comps {
-                            let owner = self.fat_bufcache.chain_owner(c.id).unwrap_or(core);
-                            if owner == core {
-                                self.fat_bufcache.apply_completion(&c);
-                            } else {
-                                self.pending_sd_comps[owner].push(c);
-                            }
-                        }
-                    } else {
-                        for c in &comps {
-                            self.fat_bufcache.apply_completion(c);
+                    for c in comps {
+                        let owner = self.fat_bufcache.chain_owner(c.id).unwrap_or(core);
+                        if owner == core {
+                            self.fat_bufcache.apply_completion(&c);
+                        } else {
+                            self.pending_sd_comps[owner].push(c);
                         }
                     }
                 }
@@ -1800,18 +1760,21 @@ impl Kernel {
     /// a kernel that booted without the flusher spawns the `kbio` thread
     /// now — `close` must never skip its drain with nobody left to do it.
     pub fn set_background_flush(&mut self, enabled: bool) {
-        if enabled && self.kbio_task == 0 {
-            match self.spawn_kernel_thread("kbio", Box::new(KbioThread)) {
-                Ok(tid) => {
-                    if let Some(t) = self.tasks.get_mut(&tid) {
-                        t.priority = 3;
-                    }
-                    self.kbio_task = tid;
-                }
-                Err(_) => return, // keep synchronous close-flush semantics
-            }
+        if enabled && self.kbio_task == 0 && self.spawn_kbio().is_err() {
+            return; // keep synchronous close-flush semantics
         }
         self.config.background_flush = enabled;
+    }
+
+    /// Spawns the `kbio` flusher thread. Write-back is deferrable work, so
+    /// it runs below interactive tasks.
+    fn spawn_kbio(&mut self) -> KResult<()> {
+        let tid = self.spawn_kernel_thread("kbio", Box::new(KbioThread))?;
+        if let Some(t) = self.tasks.get_mut(&tid) {
+            t.priority = 3;
+        }
+        self.kbio_task = tid;
+        Ok(())
     }
 
     /// Enables or disables the SD DMA data path at runtime (the DMA half of
@@ -1848,16 +1811,12 @@ impl Kernel {
         ))
     }
 
-    /// How long `kbio` should sleep before its next pass. With adaptive
-    /// flushing (the default) the fixed `flush_interval_ms` becomes a
-    /// midpoint: a cache past the high-water mark quarters the interval, a
-    /// completely clean pair of caches sleeps four intervals, anything in
-    /// between keeps the configured cadence.
+    /// How long `kbio` should sleep before its next pass. The configured
+    /// `flush_interval_ms` is a midpoint: a cache past the high-water mark
+    /// quarters the interval, a completely clean pair of caches sleeps four
+    /// intervals, anything in between keeps the configured cadence.
     pub fn kbio_next_interval_ms(&self) -> u64 {
         let base = self.config.flush_interval_ms.max(1);
-        if !self.config.adaptive_flush {
-            return base;
-        }
         let ratio = self.cache_dirty_ratio();
         if ratio >= KBIO_HIGH_WATER {
             (base / 4).max(1)
@@ -1872,7 +1831,7 @@ impl Kernel {
     /// the high-water mark wakes a sleeping `kbio` immediately instead of
     /// letting dirty data pile up until the timer fires.
     pub(crate) fn maybe_kick_kbio(&mut self) {
-        if !self.config.background_flush || !self.config.adaptive_flush || self.kbio_task == 0 {
+        if !self.config.background_flush || self.kbio_task == 0 {
             return;
         }
         if self.cache_dirty_ratio() >= KBIO_HIGH_WATER {
@@ -1890,31 +1849,6 @@ impl Kernel {
         self.config.ordered_writeback = ordered;
     }
 
-    /// Enables or disables batched eviction write-back on both caches (the
-    /// deep-queue ablation switch). Off restores the PR 4 lockstep: one
-    /// extent-sized chain per eviction, drained before the slot is reused.
-    pub fn set_batched_writeback(&mut self, batched: bool) {
-        self.fat_bufcache.set_batched_writeback(batched);
-        self.root_bufcache.set_batched_writeback(batched);
-        self.config.batched_writeback = batched;
-    }
-
-    /// Enables or disables shard-to-core affinity on the FAT cache (the
-    /// placement half of the per-core block stack; the scaling ablation
-    /// switch). Off restores pure hashed shard placement.
-    pub fn set_shard_affinity(&mut self, on: bool) {
-        self.config.shard_affinity = on;
-        self.fat_bufcache
-            .set_core_affinity(if on { self.board.active_cores() } else { 0 });
-    }
-
-    /// Enables or disables per-core DMA completion reaping (the routing
-    /// half of the per-core block stack). Off restores core-0 reaping of
-    /// every chain inside the Dma0 handler.
-    pub fn set_per_core_reap(&mut self, on: bool) {
-        self.config.per_core_reap = on;
-    }
-
     /// Enables or disables blocking demand I/O: a scheduled task whose read
     /// hits an in-flight chain (or whose write finds the SD queue full)
     /// parks on [`WaitChannel::BlockIo`] and is woken by the completion
@@ -1925,26 +1859,18 @@ impl Kernel {
         self.config.blocking_io = on;
     }
 
-    /// Replaces the FAT cache with a fresh one of `shards` ×
-    /// `extents_per_shard` geometry, re-applying every active cache policy.
-    /// The multicore scaling bench uses this to give N concurrent streams a
-    /// resident working set. Synchronously drains both caches first so no
-    /// dirty block or in-flight chain is stranded with the old instance.
+    /// Rebuilds the FAT cache as `shards` × `extents_per_shard` extents,
+    /// keeping its current policy (see [`BufCache::reshape`]). The multicore
+    /// scaling bench uses this to give N concurrent streams a resident
+    /// working set. Synchronously drains both caches first so no dirty
+    /// block or in-flight chain is stranded with the old contents.
     pub fn set_fat_cache_geometry(
         &mut self,
         shards: usize,
         extents_per_shard: usize,
     ) -> KResult<()> {
         self.sync_all()?;
-        let mut bc = BufCache::with_geometry(shards, extents_per_shard);
-        bc.set_coalescing(self.config.variant != KernelVariant::Xv6Baseline);
-        bc.set_prefetch(self.config.prefetch);
-        bc.set_ordered_writeback(self.config.ordered_writeback);
-        bc.set_batched_writeback(self.config.batched_writeback);
-        if self.config.shard_affinity {
-            bc.set_core_affinity(self.board.active_cores());
-        }
-        self.fat_bufcache = bc;
+        self.fat_bufcache.reshape(shards, extents_per_shard);
         Ok(())
     }
 
@@ -2011,10 +1937,14 @@ impl Kernel {
         self.fat_bufcache.group_txns()
     }
 
-    /// Occupancy histogram of the SD command queue as observed by the FAT
-    /// cache's write path (index = in-flight commands after a submission).
-    pub fn fat_queue_occupancy(&self) -> [u64; 9] {
-        self.fat_bufcache.queue_occupancy()
+    /// The FAT32 volume's buffer cache, read-only (policy and state).
+    pub fn fat_cache(&self) -> &BufCache {
+        &self.fat_bufcache
+    }
+
+    /// The root (xv6fs) volume's buffer cache, read-only.
+    pub fn root_cache(&self) -> &BufCache {
+        &self.root_bufcache
     }
 
     /// Statistics of the FAT32 volume's buffer cache.
@@ -2022,26 +1952,9 @@ impl Kernel {
         self.fat_bufcache.stats()
     }
 
-    /// Per-shard statistics of the FAT32 cache — the scaling bench derives
-    /// its load-imbalance figure (max over mean of per-shard lookups) from
-    /// these.
-    pub fn fat_shard_stats(&self) -> Vec<protofs::bufcache::ShardStats> {
-        self.fat_bufcache.shard_stats()
-    }
-
     /// Statistics of the root (xv6fs) buffer cache.
     pub fn root_cache_stats(&self) -> protofs::bufcache::BufCacheStats {
         self.root_bufcache.stats()
-    }
-
-    /// Dirty blocks awaiting write-back in the FAT32 cache.
-    pub fn fat_dirty_blocks(&self) -> usize {
-        self.fat_bufcache.dirty_blocks()
-    }
-
-    /// Dirty blocks awaiting write-back in the root cache.
-    pub fn root_dirty_blocks(&self) -> usize {
-        self.root_bufcache.dirty_blocks()
     }
 
     /// The `kbio` background flusher's task id (0 when it is not running).

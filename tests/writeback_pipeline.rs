@@ -3,6 +3,7 @@
 //! power cut ("what is actually on the card") with write-back caching in
 //! front of both filesystems.
 
+use hal::sdhost::SdDataMode;
 use kernel::kernel::FAT_PARTITION_START;
 use kernel::OpenFlags;
 use proto_repro::prelude::*;
@@ -30,11 +31,11 @@ fn kbio_drains_dirty_extents_and_is_charged_for_the_writeback() {
         })
         .unwrap();
     assert!(
-        sys.kernel.fat_dirty_blocks() > 0,
+        sys.kernel.fat_cache().dirty_blocks() > 0,
         "close left FAT extents dirty for the flusher"
     );
     assert!(
-        sys.kernel.root_dirty_blocks() > 0,
+        sys.kernel.root_cache().dirty_blocks() > 0,
         "close left root extents dirty for the flusher"
     );
     let writer_sd_at_close = sys.kernel.task_sd_cycles(writer);
@@ -42,7 +43,7 @@ fn kbio_drains_dirty_extents_and_is_charged_for_the_writeback() {
     let kbio_sd_before = sys.kernel.task_sd_cycles(kbio);
     // Run the kernel: kbio drains both caches to quiescence.
     let drained = sys.kernel.run_until(
-        |k| k.fat_dirty_blocks() == 0 && k.root_dirty_blocks() == 0,
+        |k| k.fat_cache().dirty_blocks() == 0 && k.root_cache().dirty_blocks() == 0,
         10_000_000,
     );
     assert!(drained, "kbio drained both caches");
@@ -141,7 +142,7 @@ fn failed_background_writeback_is_contained_and_retried() {
             ctx.close(fd)
         })
         .unwrap();
-    let dirty = sys.kernel.root_dirty_blocks();
+    let dirty = sys.kernel.root_cache().dirty_blocks();
     assert!(dirty > 0);
     // Fault the whole ramdisk: every kbio write-back pass fails. The kernel
     // must not panic, and the dirty blocks must be retained for retry.
@@ -151,7 +152,7 @@ fn failed_background_writeback_is_contained_and_retried() {
     }
     sys.run_ms(100);
     assert_eq!(
-        sys.kernel.root_dirty_blocks(),
+        sys.kernel.root_cache().dirty_blocks(),
         dirty,
         "failed write-back loses nothing"
     );
@@ -165,7 +166,7 @@ fn failed_background_writeback_is_contained_and_retried() {
     sys.kernel.ramdisk_clear_faults();
     let drained = sys
         .kernel
-        .run_until(|k| k.root_dirty_blocks() == 0, 5_000_000);
+        .run_until(|k| k.root_cache().dirty_blocks() == 0, 5_000_000);
     assert!(drained, "retry drained the cache after the fault cleared");
     let image = sys.kernel.ramdisk_image().unwrap();
     let mut disk = MemDisk::from_image(image);
@@ -188,10 +189,10 @@ fn sync_all_is_a_whole_system_durability_barrier() {
             ctx.close(fd)
         })
         .unwrap();
-    assert!(sys.kernel.fat_dirty_blocks() > 0);
+    assert!(sys.kernel.fat_cache().dirty_blocks() > 0);
     sys.kernel.sync_all().unwrap();
-    assert_eq!(sys.kernel.fat_dirty_blocks(), 0);
-    assert_eq!(sys.kernel.root_dirty_blocks(), 0);
+    assert_eq!(sys.kernel.fat_cache().dirty_blocks(), 0);
+    assert_eq!(sys.kernel.root_cache().dirty_blocks(), 0);
 }
 
 #[test]
@@ -209,7 +210,7 @@ fn ordered_writeback_survives_a_power_cut_mid_kbio_drain() {
             ctx.close(fd) // kbio will drain it
         })
         .unwrap();
-    let dirty = sys.kernel.fat_dirty_blocks();
+    let dirty = sys.kernel.fat_cache().dirty_blocks();
     assert!(dirty > 0, "close deferred the write-back to kbio");
     // Die 40 blocks into the drain: mid-CMD25, inside the data clusters.
     sys.kernel.sd_power_cut_after(40);
@@ -242,7 +243,7 @@ fn ordered_writeback_survives_a_power_cut_mid_kbio_drain() {
     // Power is back: the retained dirty blocks drain and the file lands.
     let drained = sys
         .kernel
-        .run_until(|k| k.fat_dirty_blocks() == 0, 10_000_000);
+        .run_until(|k| k.fat_cache().dirty_blocks() == 0, 10_000_000);
     assert!(drained, "kbio finished the job after power returned");
     assert_eq!(
         sys.kernel.fat_cache_stats().forced_meta_writes,
@@ -279,11 +280,14 @@ fn dma_completions_route_through_the_irq_handler_to_the_flusher() {
             ctx.close(fd)
         })
         .unwrap();
-    assert!(sys.kernel.fat_dirty_blocks() > 0, "close deferred to kbio");
+    assert!(
+        sys.kernel.fat_cache().dirty_blocks() > 0,
+        "close deferred to kbio"
+    );
     let dma_before = sys.kernel.board.sdhost.dma_cmds();
     let drained = sys
         .kernel
-        .run_until(|k| k.fat_dirty_blocks() == 0, 10_000_000);
+        .run_until(|k| k.fat_cache().dirty_blocks() == 0, 10_000_000);
     assert!(drained, "kbio drained through the async queue");
     assert!(
         sys.kernel.board.sdhost.dma_cmds() > dma_before,
@@ -309,9 +313,8 @@ fn dma_completions_route_through_the_irq_handler_to_the_flusher() {
 }
 
 #[test]
-fn adaptive_flusher_interval_tracks_the_dirty_ratio() {
+fn kbio_interval_tracks_the_dirty_ratio() {
     let mut sys = ProtoSystem::desktop().unwrap();
-    assert!(sys.kernel.config.adaptive_flush);
     let base = sys.kernel.config.flush_interval_ms;
     // Both caches clean (drain whatever boot left behind): sleep long.
     sys.kernel.sync_all().unwrap();
@@ -328,14 +331,10 @@ fn adaptive_flusher_interval_tracks_the_dirty_ratio() {
         .unwrap();
     assert!(sys.kernel.cache_dirty_ratio() >= kernel::kernel::KBIO_HIGH_WATER);
     assert_eq!(sys.kernel.kbio_next_interval_ms(), (base / 4).max(1));
-    // With the knob off, the cadence is fixed regardless of ratio.
-    sys.kernel.config.adaptive_flush = false;
-    assert_eq!(sys.kernel.kbio_next_interval_ms(), base);
-    sys.kernel.config.adaptive_flush = true;
     // Drain to quiescence: the long interval returns.
     let drained = sys
         .kernel
-        .run_until(|k| k.fat_dirty_blocks() == 0, 20_000_000);
+        .run_until(|k| k.fat_cache().dirty_blocks() == 0, 20_000_000);
     assert!(drained);
     sys.kernel.sync_all().unwrap();
     assert_eq!(sys.kernel.kbio_next_interval_ms(), base * 4);
@@ -457,7 +456,7 @@ fn kbio_commits_a_pending_group_after_the_timeout() {
     );
     let drained = sys
         .kernel
-        .run_until(|k| k.fat_dirty_blocks() == 0, 10_000_000);
+        .run_until(|k| k.fat_cache().dirty_blocks() == 0, 10_000_000);
     assert!(drained);
     let total = sys.kernel.board.sdhost.total_blocks();
     let mut fresh = BufCache::default();
@@ -474,16 +473,15 @@ fn kbio_commits_a_pending_group_after_the_timeout() {
 }
 
 #[test]
-fn batched_writeback_keeps_the_queue_deep_under_cache_pressure() {
+fn eviction_write_back_keeps_the_queue_deep_under_cache_pressure() {
     let mut sys = ProtoSystem::desktop().unwrap();
-    assert!(sys.kernel.config.batched_writeback);
     let writer = sys.kernel.spawn_bench_task("writer").unwrap();
     // Snapshot the occupancy histogram so boot-time install traffic (which
     // also drives the queue deep) cannot satisfy the depth assertions.
-    let occupancy_before = sys.kernel.fat_queue_occupancy();
+    let occupancy_before = sys.kernel.fat_cache().queue_occupancy();
     // 2 MB through the 512 KB cache: most blocks move under eviction
-    // pressure. With batching, the writer keeps several scatter-gather
-    // chains in flight instead of the one-deep submit-then-drain lockstep.
+    // pressure, and the writer keeps several scatter-gather chains in
+    // flight.
     sys.kernel
         .with_task_ctx(writer, |ctx| {
             let fd = ctx.open("/d/deep.bin", OpenFlags::wronly_create())?;
@@ -494,7 +492,8 @@ fn batched_writeback_keeps_the_queue_deep_under_cache_pressure() {
         .unwrap();
     let occupancy: Vec<u64> = sys
         .kernel
-        .fat_queue_occupancy()
+        .fat_cache()
+        .queue_occupancy()
         .iter()
         .zip(occupancy_before.iter())
         .map(|(a, b)| a - b)
@@ -539,7 +538,7 @@ fn without_the_flusher_close_drains_synchronously_and_bills_the_writer() {
         })
         .unwrap();
     assert_eq!(
-        sys.kernel.fat_dirty_blocks(),
+        sys.kernel.fat_cache().dirty_blocks(),
         0,
         "close flushed synchronously"
     );
@@ -547,4 +546,78 @@ fn without_the_flusher_close_drains_synchronously_and_bills_the_writer() {
         sys.kernel.task_sd_cycles(writer) > 0,
         "the write-back spike is billed to the closing task"
     );
+}
+
+#[test]
+fn cache_geometry_change_keeps_the_runtime_cache_policy() {
+    let mut sys = ProtoSystem::desktop().unwrap();
+    // The polled data path, where coalescing decides the command shape.
+    sys.kernel.set_sd_dma(false);
+    sys.kernel.set_fat_range_coalescing(false);
+    sys.kernel.set_fat_cache_geometry(16, 128).unwrap();
+    assert!(!sys.kernel.fat_cache().coalescing());
+    let reader = sys.kernel.spawn_bench_task("reader").unwrap();
+    let sd = &sys.kernel.board.sdhost;
+    let (singles, ranges, blocks) = (
+        sd.single_block_cmds(),
+        sd.range_cmds(),
+        sd.blocks_transferred(),
+    );
+    let bytes = sys
+        .kernel
+        .with_task_ctx(reader, |ctx| {
+            let fd = ctx.open("/d/doom.wad", OpenFlags::rdonly())?;
+            let data = ctx.read(fd, 256 * 1024)?;
+            ctx.close(fd)?;
+            Ok::<usize, kernel::KernelError>(data.len())
+        })
+        .unwrap();
+    assert_eq!(bytes, 256 * 1024);
+    let sd = &sys.kernel.board.sdhost;
+    let blocks = sd.blocks_transferred() - blocks;
+    assert!(blocks >= 512, "the read went to the card: {blocks} blocks");
+    assert_eq!(sd.range_cmds(), ranges, "no range command after reshaping");
+    assert_eq!(
+        sd.single_block_cmds() - singles,
+        blocks,
+        "one command per block"
+    );
+}
+
+#[test]
+fn the_booted_xv6_baseline_runs_the_baseline_storage_policy() {
+    let mut sys = ProtoSystem::build(SystemOptions {
+        variant: KernelVariant::Xv6Baseline,
+        ..SystemOptions::default()
+    })
+    .unwrap();
+    let k = &sys.kernel;
+    for bc in [k.fat_cache(), k.root_cache()] {
+        assert!(!bc.coalescing(), "one SD command per block");
+        assert!(!bc.ordered_writeback(), "pure-LBA drain");
+        assert!(!bc.prefetch_enabled(), "no read-ahead");
+    }
+    assert!(!k.config.prefetch);
+    assert_eq!(k.board.sdhost.data_mode(), SdDataMode::Pio);
+    assert_eq!(k.kbio_task(), 0, "no background flusher");
+    // Logged metadata operations on both volumes write no log: the FAT
+    // intent log and the xv6fs journal are off.
+    let (fat_txns, root_txns) = (k.fat_cache_stats().log_txns, k.root_cache_stats().log_txns);
+    let tid = sys.kernel.spawn_bench_task("meta").unwrap();
+    sys.kernel
+        .with_task_ctx(tid, |ctx| {
+            for dir in ["/d/base", "/base"] {
+                ctx.mkdir(dir)?;
+                for _ in 0..2 {
+                    let fd = ctx.open(&format!("{dir}/f"), OpenFlags::wronly_create())?;
+                    ctx.write(fd, b"overwritten")?;
+                    ctx.close(fd)?;
+                }
+                ctx.unlink(&format!("{dir}/f"))?;
+            }
+            Ok::<(), kernel::KernelError>(())
+        })
+        .unwrap();
+    assert_eq!(sys.kernel.fat_cache_stats().log_txns, fat_txns);
+    assert_eq!(sys.kernel.root_cache_stats().log_txns, root_txns);
 }
