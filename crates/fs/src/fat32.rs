@@ -51,6 +51,7 @@
 //! burst of them shares one checksummed commit record — durability moves to
 //! the group's single commit flush, forced by any barrier.
 
+use crate::alloc::{NextFree, Slot};
 use crate::block::{BlockDevice, BLOCK_SIZE};
 use crate::bufcache::BufCache;
 use crate::path;
@@ -150,6 +151,10 @@ pub struct Fat32 {
     /// checksummed commit record and durability moves to the group's single
     /// commit flush, forced by any barrier.
     txn: TxnLog,
+    /// The allocator's next-free cluster cursor, shared by every clone of
+    /// this mounted volume (see [`crate::alloc`]). Held in memory only:
+    /// no FSInfo sector is written.
+    next_free: NextFree,
 }
 
 fn encode_83(name: &str) -> FsResult<[u8; 11]> {
@@ -258,6 +263,7 @@ impl Fat32 {
         let fs = Fat32 {
             bpb,
             txn: Self::make_txn(&bpb),
+            next_free: NextFree::new(FIRST_CLUSTER),
         };
         // Reserve clusters 0 and 1, allocate the root directory cluster.
         fs.fat_set(dev, bc, 0, 0x0FFF_FFF8)?;
@@ -335,6 +341,7 @@ impl Fat32 {
         let fs = Fat32 {
             bpb,
             txn: Self::make_txn(&bpb),
+            next_free: NextFree::new(FIRST_CLUSTER),
         };
         if fs.txn.enabled() {
             fs.txn.replay(dev, bc)?;
@@ -475,7 +482,11 @@ impl Fat32 {
         let (sector, off) = self.fat_sector_of(cluster);
         let mut buf = vec![0u8; BLOCK_SIZE];
         bc.read(dev, sector, &mut buf)?;
-        buf[off..off + 4].copy_from_slice(&(value & 0x0FFF_FFFF).to_le_bytes());
+        let value = value & 0x0FFF_FFFF;
+        if value == FAT_FREE {
+            self.next_free.lower(cluster);
+        }
+        buf[off..off + 4].copy_from_slice(&value.to_le_bytes());
         bc.write(dev, sector, &buf)?;
         bc.note_metadata(sector, 1);
         Ok(())
@@ -497,6 +508,17 @@ impl Fat32 {
     /// zeros, once as data). `for_metadata` classifies the fresh cluster's
     /// contents as metadata (directory clusters) so the ordered drain
     /// treats its dirents as such.
+    ///
+    /// Placement is first-fit: the lowest free cluster that is not a
+    /// pending free. The scan starts at the volume's next-free cursor
+    /// ([`crate::alloc`]), below which no free cluster lies — pending
+    /// frees included — so installing an n-cluster file costs O(n) FAT
+    /// reads instead of O(n × used clusters), and the cluster picked is the
+    /// one a scan from [`FIRST_CLUSTER`] would pick. A scan from the cursor
+    /// that finds nothing falls back to the full scan from
+    /// [`FIRST_CLUSTER`], and when only pending frees remain, to forcing
+    /// the open commit group out and rescanning, so the cursor can never
+    /// cause a `NoSpace`.
     fn alloc_cluster(
         &self,
         dev: &mut dyn BlockDevice,
@@ -504,43 +526,31 @@ impl Fat32 {
         for_metadata: bool,
         zero_fill: bool,
     ) -> FsResult<u32> {
-        let mut saw_pending_free = false;
-        for c in FIRST_CLUSTER..FIRST_CLUSTER + self.bpb.cluster_count {
-            if self.fat_get(dev, bc, c)? == FAT_FREE {
-                if bc.is_pending_free(c) {
-                    saw_pending_free = true;
-                    continue;
-                }
-                return self.claim_cluster(dev, bc, c, for_metadata, zero_fill);
-            }
-        }
-        if saw_pending_free {
-            // The only free clusters await a durable free. Force the
-            // pending group's commit record out (releasing its
-            // reservations) and rescan — a delete-then-write on a nearly
-            // full volume must not report NoSpace. Committing
-            // mid-transaction is safe: the current transaction's sectors so
-            // far are plain chain links whose early drain can at worst leak
-            // an unpublished cluster across a cut.
-            self.commit_pending(dev, bc)?;
-            if bc.has_pending_frees() {
-                // Reservations with no group to commit them — left behind
-                // by a transaction that failed before logging its frees. A
-                // full flush makes those frees durable too and clears the
-                // reservations.
-                bc.flush(dev)?;
-            }
-            for c in FIRST_CLUSTER..FIRST_CLUSTER + self.bpb.cluster_count {
-                if self.fat_get(dev, bc, c)? == FAT_FREE && !bc.is_pending_free(c) {
-                    return self.claim_cluster(dev, bc, c, for_metadata, zero_fill);
-                }
-            }
-        }
-        Err(FsError::NoSpace)
+        let slot = |dev: &mut dyn BlockDevice, bc: &mut BufCache, c| self.cluster_slot(dev, bc, c);
+        let claim = |dev: &mut dyn BlockDevice, bc: &mut BufCache, c| {
+            self.claim_cluster(dev, bc, c, for_metadata, zero_fill)
+        };
+        let clusters = FIRST_CLUSTER..FIRST_CLUSTER.saturating_add(self.bpb.cluster_count);
+        self.next_free
+            .alloc(dev, bc, &self.txn, clusters, slot, claim)
+    }
+
+    /// What the allocator sees at cluster `c`.
+    fn cluster_slot(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache, c: u32) -> FsResult<Slot> {
+        Ok(if self.fat_get(dev, bc, c)? != FAT_FREE {
+            Slot::Used
+        } else if bc.is_pending_free(c) {
+            Slot::PendingFree
+        } else {
+            Slot::Free
+        })
     }
 
     /// Marks the free cluster `c` end-of-chain and applies the `zero_fill`
-    /// policy described on [`Fat32::alloc_cluster`].
+    /// policy described on [`Fat32::alloc_cluster`]. `c` is the first-fit
+    /// cluster the cursor scan found; the cursor steps past it only once
+    /// this claim succeeds, so a failed claim leaves the cursor at a
+    /// cluster that is still free.
     fn claim_cluster(
         &self,
         dev: &mut dyn BlockDevice,
@@ -548,7 +558,7 @@ impl Fat32 {
         c: u32,
         for_metadata: bool,
         zero_fill: bool,
-    ) -> FsResult<u32> {
+    ) -> FsResult<()> {
         // Metadata clusters (directories) must always be zero-filled with
         // the FAT→contents edge recorded: skipping it would let the FAT
         // claim persist before the dirents, exposing a directory of stale
@@ -571,7 +581,7 @@ impl Fat32 {
                 SECTORS_PER_CLUSTER as u64,
             );
         }
-        Ok(c)
+        Ok(())
     }
 
     /// Allocates and links an `n`-cluster chain, unwinding the allocation on
@@ -2011,6 +2021,67 @@ mod tests {
             big2,
             "the freed clusters were reused after the forced commit"
         );
+    }
+
+    /// The clusters that break the allocation cursor's invariant: free
+    /// clusters (pending frees included) below the cursor.
+    fn free_below_cursor(fs: &Fat32, dev: &mut MemDisk, bc: &mut BufCache) -> Vec<u32> {
+        let end = FIRST_CLUSTER + fs.bpb.cluster_count;
+        (FIRST_CLUSTER..fs.next_free.get().min(end))
+            .filter(|&c| fs.fat_get(dev, bc, c).unwrap() == FAT_FREE)
+            .collect()
+    }
+
+    #[test]
+    fn no_free_cluster_ever_lies_below_the_allocation_cursor() {
+        // Seeded create / overwrite / append / remove / mkdir sequences on a
+        // 1 MB volume that keeps filling up, with group commit holding
+        // frees pending across operations.
+        for seed in 1..=4 {
+            let mut rng = crate::alloc::TestRng::new(seed);
+            let mut dev = MemDisk::new(2048);
+            let mut bc = BufCache::default();
+            let mut fs = Fat32::mkfs(&mut dev, &mut bc).unwrap();
+            bc.flush(&mut dev).unwrap();
+            fs.set_group_commit_ops(4);
+            let (mut saw_pending, mut saw_nospace) = (false, false);
+            for step in 0..160 {
+                let dir = ["", "/d0", "/d1"][rng.below(3)];
+                let path = format!("{dir}/f{}.bin", rng.below(6));
+                let data = vec![step as u8; rng.below(128 * 1024)];
+                let result = match rng.below(5) {
+                    0 | 1 => fs.write_file(&mut dev, &mut bc, &path, &data),
+                    // The kernel's write at an offset: read-modify-write of
+                    // the whole file.
+                    2 => fs
+                        .read_file(&mut dev, &mut bc, &path)
+                        .and_then(|mut whole| {
+                            whole.extend_from_slice(&data[..data.len() / 4]);
+                            fs.write_file(&mut dev, &mut bc, &path, &whole)
+                        }),
+                    3 => fs.remove(&mut dev, &mut bc, &path),
+                    _ => fs
+                        .create(&mut dev, &mut bc, &format!("/d{}", rng.below(2)), true)
+                        .map(|_| ()),
+                };
+                match result {
+                    Ok(()) | Err(FsError::NotFound(_) | FsError::AlreadyExists(_)) => {}
+                    Err(FsError::NoSpace) => saw_nospace = true,
+                    Err(e) => panic!("seed {seed} step {step}: {e}"),
+                }
+                saw_pending |= bc.has_pending_frees();
+                assert_eq!(
+                    free_below_cursor(&fs, &mut dev, &mut bc),
+                    Vec::<u32>::new(),
+                    "seed {seed} step {step}: free clusters below cursor {}",
+                    fs.next_free.get()
+                );
+            }
+            assert!(
+                saw_pending && saw_nospace,
+                "seed {seed} never hit the fallback paths: pending {saw_pending} nospace {saw_nospace}"
+            );
+        }
     }
 
     #[test]

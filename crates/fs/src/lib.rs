@@ -24,6 +24,8 @@
 //!   log + group commit over the cache's dependency/pinning machinery,
 //!   shared by FAT32's intent log and xv6fs's journal.
 //! * [`path`] — path normalisation shared by the kernel's VFS.
+//! * `alloc` (crate-internal) — the next-free allocation cursor both
+//!   filesystems' first-fit allocators scan from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,6 +34,7 @@
 #![cfg_attr(not(test), warn(clippy::disallowed_methods))]
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
+mod alloc;
 pub mod block;
 pub mod bufcache;
 pub mod fat32;

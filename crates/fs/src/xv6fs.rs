@@ -30,6 +30,7 @@
 //! (`set_journal(false)`, the ablation baseline), behaviour reverts to the
 //! ordered drain and its two documented torn states.
 
+use crate::alloc::{NextFree, Slot};
 use crate::block::{BlockDevice, BLOCK_SIZE as SECTOR_SIZE};
 use crate::bufcache::BufCache;
 use crate::path;
@@ -230,6 +231,9 @@ pub struct Xv6Fs {
     /// Handle on the shared transaction layer (geometry from the
     /// superblock's log region; disabled when the volume carries none).
     txn: TxnLog,
+    /// The allocator's next-free data-block cursor, shared by every clone
+    /// of this mounted volume (see [`crate::alloc`]).
+    next_free: NextFree,
 }
 
 impl Xv6Fs {
@@ -346,6 +350,7 @@ impl Xv6Fs {
         let fs = Xv6Fs {
             sb,
             txn: Self::make_txn(&sb),
+            next_free: NextFree::new(sb.datastart),
         };
         for b in 0..datastart {
             fs.bitmap_set(dev, bc, b, true)?;
@@ -405,6 +410,7 @@ impl Xv6Fs {
         let fs = Xv6Fs {
             sb,
             txn: Self::make_txn(&sb),
+            next_free: NextFree::new(sb.datastart),
         };
         // Repair a power cut that fell after a commit point: redo the
         // committed record's home writes (idempotent), or ignore a torn /
@@ -473,6 +479,7 @@ impl Xv6Fs {
             data[byte] |= mask;
         } else {
             data[byte] &= !mask;
+            self.next_free.lower(blockno);
         }
         Self::write_meta_fs_block(dev, bc, bmap_block, &data)
     }
@@ -490,43 +497,39 @@ impl Xv6Fs {
         Ok(data[bit / 8] & (1u8 << (bit % 8)) != 0)
     }
 
+    /// Allocates and zeroes a data block, first-fit: the lowest free
+    /// block that is not a pending free. The scan starts at the volume's
+    /// next-free cursor ([`crate::alloc`]), below which no free block lies
+    /// — pending frees included — so it picks the block a scan from
+    /// `datastart` would pick at O(1) amortized bitmap reads instead of
+    /// O(used blocks). A scan from the cursor that finds nothing falls back
+    /// to the full scan from `datastart`, and when only pending frees
+    /// remain, to committing the journal group and rescanning, so the
+    /// cursor can never cause a `NoSpace`.
     fn balloc(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<u32> {
-        let mut saw_pending_free = false;
-        for b in self.sb.datastart..self.sb.size {
-            // Blocks freed by a not-yet-durable transaction must not be
-            // recycled: a crash after the reuse but before the free commits
-            // would leave the old file's metadata pointing at clobbered data.
-            if bc.is_pending_free(b) {
-                saw_pending_free = true;
-                continue;
-            }
-            if !self.bitmap_get(dev, bc, b)? {
-                self.bitmap_set(dev, bc, b, true)?;
-                // Zero freshly allocated blocks, as xv6 does.
-                Self::write_fs_block(dev, bc, b, &vec![0u8; BSIZE])?;
-                return Ok(b);
-            }
-        }
-        if saw_pending_free {
-            // Out of space only because freed blocks are still fenced behind
-            // an undurable free. Commit the journal group (making the frees
-            // durable), drain any remaining ordered frees, and rescan.
-            self.txn.commit_pending(dev, bc)?;
-            if bc.has_pending_frees() {
-                bc.flush(dev)?;
-            }
-            for b in self.sb.datastart..self.sb.size {
-                if bc.is_pending_free(b) {
-                    continue;
-                }
-                if !self.bitmap_get(dev, bc, b)? {
-                    self.bitmap_set(dev, bc, b, true)?;
-                    Self::write_fs_block(dev, bc, b, &vec![0u8; BSIZE])?;
-                    return Ok(b);
-                }
-            }
-        }
-        Err(FsError::NoSpace)
+        let slot = |dev: &mut dyn BlockDevice, bc: &mut BufCache, b| self.block_slot(dev, bc, b);
+        let claim = |dev: &mut dyn BlockDevice, bc: &mut BufCache, b| {
+            self.bitmap_set(dev, bc, b, true)?;
+            // Zero freshly allocated blocks, as xv6 does.
+            Self::write_fs_block(dev, bc, b, &vec![0u8; BSIZE])
+        };
+        let blocks = self.sb.datastart..self.sb.size;
+        self.next_free
+            .alloc(dev, bc, &self.txn, blocks, slot, claim)
+    }
+
+    /// What the allocator sees at data block `b`. Blocks freed by a
+    /// not-yet-durable transaction must not be recycled: a crash after the
+    /// reuse but before the free commits would leave the old file's
+    /// metadata pointing at clobbered data.
+    fn block_slot(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache, b: u32) -> FsResult<Slot> {
+        Ok(if bc.is_pending_free(b) {
+            Slot::PendingFree
+        } else if self.bitmap_get(dev, bc, b)? {
+            Slot::Used
+        } else {
+            Slot::Free
+        })
     }
 
     fn bfree(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache, blockno: u32) -> FsResult<()> {
@@ -1355,6 +1358,69 @@ mod tests {
             }
         };
         assert!(matches!(result, Err(FsError::NoSpace)));
+    }
+
+    #[test]
+    fn no_free_block_ever_lies_below_the_allocation_cursor() {
+        // Seeded create / overwrite / append / unlink / mkdir sequences on a
+        // journaled 256 KB volume that keeps filling up, with group commit
+        // holding frees pending across operations.
+        for seed in 1..=4 {
+            let mut rng = crate::alloc::TestRng::new(seed);
+            let mut dev = MemDisk::new(512);
+            let mut bc = BufCache::default();
+            let mut fs = Xv6Fs::mkfs(&mut dev, &mut bc, 256, 32).unwrap();
+            assert!(fs.journal_enabled());
+            fs.txn.set_group_ops(4);
+            let (mut saw_pending, mut saw_nospace) = (false, false);
+            for step in 0..160 {
+                let dir = ["", "/d0", "/d1"][rng.below(3)];
+                let path = format!("{dir}/f{}", rng.below(6));
+                let data = vec![step as u8; rng.below(40 * 1024)];
+                let result = match rng.below(5) {
+                    0 | 1 => fs.write_file(&mut dev, &mut bc, &path, &data).map(|_| ()),
+                    2 => fs.lookup(&mut dev, &mut bc, &path).and_then(|inum| {
+                        let end = fs.stat(&mut dev, &mut bc, inum)?.size;
+                        fs.write(&mut dev, &mut bc, inum, end, &data[..data.len() / 4])
+                            .map(|_| ())
+                    }),
+                    3 => fs.unlink(&mut dev, &mut bc, &path),
+                    _ => fs
+                        .create(
+                            &mut dev,
+                            &mut bc,
+                            &format!("/d{}", rng.below(2)),
+                            InodeType::Dir,
+                        )
+                        .map(|_| ()),
+                };
+                match result {
+                    Ok(())
+                    | Err(
+                        FsError::NotFound(_)
+                        | FsError::AlreadyExists(_)
+                        | FsError::IsADirectory(_)
+                        | FsError::TooLarge(_),
+                    ) => {}
+                    Err(FsError::NoSpace) => saw_nospace = true,
+                    Err(e) => panic!("seed {seed} step {step}: {e}"),
+                }
+                saw_pending |= bc.has_pending_frees();
+                let below: Vec<u32> = (fs.sb.datastart..fs.next_free.get().min(fs.sb.size))
+                    .filter(|&b| !fs.bitmap_get(&mut dev, &mut bc, b).unwrap())
+                    .collect();
+                assert_eq!(
+                    below,
+                    Vec::<u32>::new(),
+                    "seed {seed} step {step}: free blocks below cursor {}",
+                    fs.next_free.get()
+                );
+            }
+            assert!(
+                saw_pending && saw_nospace,
+                "seed {seed} never hit the fallback paths: pending {saw_pending} nospace {saw_nospace}"
+            );
+        }
     }
 
     #[test]

@@ -621,3 +621,61 @@ fn the_booted_xv6_baseline_runs_the_baseline_storage_policy() {
     assert_eq!(sys.kernel.fat_cache_stats().log_txns, fat_txns);
     assert_eq!(sys.kernel.root_cache_stats().log_txns, root_txns);
 }
+
+/// Installs `total` bytes on one volume through the kernel's image-builder
+/// entry points and returns the buffer-cache lookups (hits + misses) per
+/// installed 512-byte block. The bytes go into sixteen files in a fresh
+/// directory, whatever the total (xv6fs files stop at 268 KB): path lookups
+/// and xv6fs's inode allocation (a scan over the inode table) then cost the
+/// same for both sizes, leaving block allocation as the term that grows
+/// with the install.
+fn install_lookups_per_block(sys: &mut ProtoSystem, fat: bool, total: usize) -> f64 {
+    let lookups = |sys: &ProtoSystem| {
+        let s = if fat {
+            sys.kernel.fat_cache().stats()
+        } else {
+            sys.kernel.root_cache().stats()
+        };
+        s.hits + s.misses
+    };
+    let before = lookups(sys);
+    let dir = format!("/lin{}m", total >> 20);
+    let data = vec![0x3Cu8; total / 16];
+    if fat {
+        sys.kernel.install_fat_dir(&dir).unwrap();
+    } else {
+        sys.kernel.install_root_dir(&dir).unwrap();
+    }
+    for i in 0..16 {
+        let path = format!("{dir}/{i}");
+        if fat {
+            sys.kernel.install_fat_file(&path, &data).unwrap();
+        } else {
+            sys.kernel.install_root_file(&path, &data).unwrap();
+        }
+    }
+    (lookups(sys) - before) as f64 / (total / 512) as f64
+}
+
+#[test]
+fn installs_cost_a_bounded_number_of_cache_lookups_per_block() {
+    // The volumes already hold the small-asset set, so a first-fit
+    // allocator that rescans from the lowest block pays for every block
+    // in use on each allocation. Each FAT32 install goes through a fresh
+    // clone of the kernel's volume handle: the allocation cursor must be
+    // shared across those clones to keep the cost per block flat.
+    let mut sys = ProtoSystem::desktop().unwrap();
+    for fat in [true, false] {
+        let small = install_lookups_per_block(&mut sys, fat, 1 << 20);
+        let large = install_lookups_per_block(&mut sys, fat, 4 << 20);
+        let volume = if fat { "FAT32" } else { "xv6fs" };
+        assert!(
+            small <= 8.0 && large <= 8.0,
+            "{volume}: {small:.2} / {large:.2} cache lookups per installed block (1 / 4 MiB)"
+        );
+        assert!(
+            large <= small,
+            "{volume}: lookups per block grew with the install size: {small:.3} -> {large:.3}"
+        );
+    }
+}
