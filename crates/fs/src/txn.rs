@@ -40,21 +40,20 @@
 //! # Crash-ordering guarantees
 //!
 //! The commit sequence for a group is: ready-only cache drain (everything a
-//! logged sector could reference — data blocks, interleaved non-logged
-//! metadata — becomes durable first), payload capture from the cache, log
-//! payload writes, checksummed single-sector header write, **device FLUSH
+//! logged sector could reference — data blocks, interleaved non-logged metadata
+//! — becomes durable first), payload capture from the cache, one multi-block
+//! payload write, then the single-sector checksummed header, **device FLUSH
 //! (the commit point)**, dependency-edge release, pin release, home-sector
 //! drain, header clear (written FUA so it cannot linger in a posted write
-//! cache). A power cut before the commit point leaves the old tree: the
-//! logged sectors were cache-only, pinned, and any allocation units they
-//! freed were reserved against reuse ([`BufCache::note_pending_free`]). A
-//! cut after the commit point is repaired by replay, which is idempotent
-//! (payloads are final contents) and validated (magic, count, target
-//! bounds, FNV-1a over header and payloads), so a torn commit record is
-//! indistinguishable from no record. With a posted write cache underneath
-//! ([`crate::MemDisk::set_posted_writes`]) these guarantees hold *because*
-//! of the explicit FLUSH barriers — see the barrier-elision test in the
-//! crash suite for the counterexample.
+//! cache). A power cut before the commit point leaves the old tree: the logged
+//! sectors were cache-only, pinned, and any allocation units they freed were
+//! reserved against reuse ([`BufCache::note_pending_free`]). A cut after the
+//! commit point is repaired by replay, which is idempotent (payloads are final
+//! contents) and validated (magic, count, target bounds, FNV-1a over header and
+//! payloads), so a torn commit record is indistinguishable from no record. With
+//! a posted write cache underneath ([`crate::MemDisk::set_posted_writes`])
+//! these guarantees hold *because* of the explicit FLUSH barriers — see the
+//! barrier-elision test in the crash suite for the counterexample.
 //!
 //! # Degraded mode
 //!
@@ -264,20 +263,20 @@ impl TxnLog {
         Ok(())
     }
 
-    /// Writes the open commit group's single checksummed record and drains
-    /// it home: ready drain → payload capture → log payloads → header →
-    /// device FLUSH (the commit point) → dependency release → pin release →
-    /// home drain → header clear (FUA). Payloads are captured at *commit*
-    /// time, so the record reflects any non-logged write that shared a
-    /// sector with the group — replay can never roll one back — and the
-    /// pre-commit [`BufCache::flush_ready`] makes every non-group sector
-    /// such content might reference durable before a record points at it.
-    /// Both drains refuse to force dependency cycles, so a transaction
-    /// still open for the *next* group (the log-overflow path) keeps its
-    /// sectors cached and atomic. A failure before the commit point leaves
-    /// the group pending, so the next barrier retries it; past the commit
-    /// point the record repairs any torn home write at replay. A no-op when
-    /// no group is open.
+    /// Writes the open commit group's single checksummed record and drains it
+    /// home: ready drain → payload capture → one multi-block payload write,
+    /// then the single-sector header → device FLUSH (the commit point) →
+    /// dependency release → pin release → home drain → header clear (FUA).
+    /// Payloads are captured at *commit* time, so the record reflects any
+    /// non-logged write that shared a sector with the group — replay can never
+    /// roll one back — and the pre-commit [`BufCache::flush_ready`] makes every
+    /// non-group sector such content might reference durable before a record
+    /// points at it. Both drains refuse to force dependency cycles, so a
+    /// transaction still open for the *next* group (the log-overflow path)
+    /// keeps its sectors cached and atomic. A failure before the commit point
+    /// leaves the group pending, so the next barrier retries it; past the
+    /// commit point the record repairs any torn home write at replay. A no-op
+    /// when no group is open.
     pub fn commit_pending(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<()> {
         if bc.group_sectors() == 0 {
             return Ok(());
@@ -295,9 +294,14 @@ impl TxnLog {
             bc.read(dev, lba, &mut p)?;
             payloads.push(p);
         }
-        for (i, p) in payloads.iter().enumerate() {
-            dev.write_block(self.log_start + 1 + i as u64, p)?;
-        }
+        // One multi-block write (a single CMD25 on the SD card) carries the
+        // whole payload run. A cut that tears it leaves a prefix of payloads
+        // and no header, which replay ignores like any torn record.
+        dev.write_range(
+            self.log_start + 1,
+            payloads.len() as u64,
+            &payloads.concat(),
+        )?;
         let hdr = Self::header(&targets, &payloads);
         dev.write_block(self.log_start, &hdr)?;
         dev.flush()?; // commit point
@@ -353,12 +357,9 @@ impl TxnLog {
             }
             targets.push(t);
         }
-        let mut payloads = Vec::with_capacity(count);
-        for i in 0..count {
-            let mut p = vec![0u8; BLOCK_SIZE];
-            dev.read_block(self.log_start + 1 + i as u64, &mut p)?;
-            payloads.push(p);
-        }
+        let mut run = vec![0u8; count * BLOCK_SIZE];
+        dev.read_range(self.log_start + 1, count as u64, &mut run)?;
+        let payloads: Vec<&[u8]> = run.chunks_exact(BLOCK_SIZE).collect();
         let mut sum = fnv1a(&hdr[8..12], FNV_OFFSET);
         sum = fnv1a(&hdr[16..16 + count * 8], sum);
         for p in &payloads {
@@ -369,7 +370,7 @@ impl TxnLog {
         }
         // Redo the home-sector writes (idempotent: the payloads are final
         // contents) through the cache so any cached copies stay coherent.
-        for (t, p) in targets.iter().zip(&payloads) {
+        for (t, p) in targets.iter().zip(payloads) {
             bc.write(dev, *t, p)?;
             bc.note_metadata(*t, 1);
         }
@@ -396,5 +397,55 @@ impl TxnLog {
         }
         hdr[12..16].copy_from_slice(&sum.to_le_bytes());
         hdr
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block::SdBlockDevice;
+    use hal::sdhost::SdHost;
+
+    #[test]
+    fn a_commit_record_sends_its_payloads_as_one_range_command() {
+        let mut sd = SdHost::new(4096);
+        sd.init().unwrap();
+        let mut dev = SdBlockDevice::new(&mut sd, 0, 4096);
+        let mut bc = BufCache::default();
+        let mut log = TxnLog::new(1, 16, 4096);
+        log.set_group_ops(8);
+        // One transaction over three scattered sectors: the group stays
+        // open until the explicit commit below.
+        let targets = [100u64, 205, 310];
+        log.with_txn(&mut dev, &mut bc, |dev, bc| {
+            for (i, &lba) in targets.iter().enumerate() {
+                bc.write(dev, lba, &[i as u8 + 1; BLOCK_SIZE])?;
+                TxnLog::log_sector(bc, lba, 1);
+            }
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(bc.group_sectors(), targets.len());
+        let (dev0, bc0) = (dev.stats(), bc.stats());
+        log.commit_pending(&mut dev, &mut bc).unwrap();
+        let (dev1, bc1) = (dev.stats(), bc.stats());
+        // Subtract the cache's own home drain; what is left is the record.
+        let range =
+            (dev1.range_cmds - dev0.range_cmds) - (bc1.coalesced_ranges - bc0.coalesced_ranges);
+        let single = (dev1.single_cmds - dev0.single_cmds) - (bc1.single_cmds - bc0.single_cmds);
+        let blocks = (dev1.blocks - dev0.blocks) - (bc1.writebacks - bc0.writebacks);
+        assert_eq!(
+            (range, single, blocks),
+            (1, 2, targets.len() as u64 + 2),
+            "one multi-block payload write, then the header and its FUA clear"
+        );
+        let mut run = vec![0u8; targets.len() * BLOCK_SIZE];
+        dev.read_range(2, targets.len() as u64, &mut run).unwrap();
+        for (i, p) in run.chunks_exact(BLOCK_SIZE).enumerate() {
+            assert!(
+                p.iter().all(|&b| b == i as u8 + 1),
+                "payload {i} in log order"
+            );
+        }
     }
 }

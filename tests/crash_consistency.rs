@@ -23,7 +23,7 @@ use proto_repro::hal::dma::DmaEngine;
 use proto_repro::hal::sdhost::{SdDataMode, SdHost};
 use proto_repro::protofs::block::{SdBlockDevice, SdDmaCtx};
 use proto_repro::protofs::bufcache::BufCache;
-use proto_repro::protofs::fat32::{Bpb, Fat32, FIRST_CLUSTER};
+use proto_repro::protofs::fat32::{Bpb, Fat32, FIRST_CLUSTER, INTENT_LOG_START};
 use proto_repro::protofs::xv6fs::{InodeType, Xv6Fs};
 use proto_repro::protofs::{BlockDevice, FsError, MemDisk, BLOCK_SIZE};
 
@@ -548,12 +548,23 @@ fn fat32_cut_during_rename_leaves_exactly_one_intact_name() {
 
 #[test]
 fn fat32_group_committed_burst_cut_sweep_is_old_xor_new_per_txn() {
-    // Four logged overwrites fold into ONE commit record (group of 4). The
-    // burst performs no device I/O until the group's commit point, so a cut
-    // at every persisted-block prefix of the batched commit must leave each
-    // file strictly old XOR new — never a blend — and, since the whole
-    // group commits through one checksummed record, the only transition the
-    // sweep may observe is all-old -> all-new.
+    // Run on the ramdisk and on the kernel's own device: the SD card in DMA
+    // mode, where the record's payload run is a single CMD25 the cut tears.
+    group_burst_cut_sweep("memdisk", || MemDisk::new(8 * 1024));
+    group_burst_cut_sweep("sd dma", || DmaRig::new(8 * 1024));
+}
+
+/// Four logged overwrites fold into ONE commit record (group of 4). The
+/// burst performs no device I/O until the group's commit point, so a cut at
+/// every persisted-block prefix of the batched commit must leave each file
+/// strictly old XOR new — never a blend — and, since the whole group
+/// commits through one checksummed record, the only transition the sweep
+/// may observe is all-old -> all-new. The record's payloads travel as one
+/// multi-block command, so the sweep must also see cuts that tear exactly
+/// that command: a range write torn, the first log payload sector rewritten,
+/// and the remount still all-old (no header landed, so the record is
+/// ignored).
+fn group_burst_cut_sweep<M: CutMedium>(medium: &str, fresh: impl Fn() -> M) {
     let n_files = 4usize;
     let name = |i: usize| format!("/G{i}.BIN");
     let olds: Vec<Vec<u8>> = (0..n_files)
@@ -563,40 +574,69 @@ fn fat32_group_committed_burst_cut_sweep_is_old_xor_new_per_txn() {
         .map(|i| pattern(40 + i as u64, 2, 9 * 1024))
         .collect();
     let setup = || {
-        let (mut disk, mut bc, mut fs) = fresh_fat(true);
-        for (i, old) in olds.iter().enumerate() {
-            fs.write_file(&mut disk, &mut bc, &name(i), old).unwrap();
-        }
-        bc.flush(&mut disk).unwrap();
+        let mut m = fresh();
+        let mut bc = BufCache::default();
+        bc.set_ordered_writeback(true);
+        let mut fs = m.with_dev(|dev| {
+            let fs = Fat32::mkfs(dev, &mut bc).unwrap();
+            for (i, old) in olds.iter().enumerate() {
+                fs.write_file(dev, &mut bc, &name(i), old).unwrap();
+            }
+            bc.flush(dev).unwrap();
+            fs
+        });
         fs.set_group_commit_ops(n_files as u32);
-        (disk, bc, fs)
+        (m, bc, fs)
     };
+    // Runs the four overwrites; true when all of them succeeded. Ops after
+    // a cut fires fail; that's the scenario.
+    let burst = |m: &mut M, bc: &mut BufCache, fs: &Fat32| {
+        m.with_dev(|dev| {
+            let mut ok = true;
+            for (i, new) in news.iter().enumerate() {
+                ok &= fs.write_file(dev, bc, &name(i), new).is_ok();
+            }
+            ok
+        })
+    };
+    let first_payload = |image: &[u8]| {
+        let o = (INTENT_LOG_START as usize + 1) * BLOCK_SIZE;
+        image[o..o + BLOCK_SIZE].to_vec()
+    };
+    let stale_payload = first_payload(&setup().0.image());
     // Dry run: learn the burst's persisted-block budget and check the
     // group really condensed to one commit record.
     let total = {
-        let (mut disk, mut bc, fs) = setup();
-        let before = disk.stats().blocks;
-        for (i, new) in news.iter().enumerate() {
-            fs.write_file(&mut disk, &mut bc, &name(i), new).unwrap();
-        }
-        assert_eq!(bc.group_txns(), 0, "fourth txn closed the group");
-        assert_eq!(bc.stats().log_commits, 1, "one record for four txns");
-        disk.stats().blocks - before
+        let (mut m, mut bc, fs) = setup();
+        let before = m.with_dev(|dev| dev.stats().blocks);
+        assert!(burst(&mut m, &mut bc, &fs), "[{medium}] uncut burst");
+        assert_eq!(bc.group_txns(), 0, "[{medium}] fourth txn closed the group");
+        assert_eq!(
+            bc.stats().log_commits,
+            1,
+            "[{medium}] one record for four txns"
+        );
+        m.with_dev(|dev| dev.stats().blocks) - before
     };
-    assert!(total > 20, "the batched commit should move real blocks");
+    assert!(
+        total > 20,
+        "[{medium}] the batched commit should move real blocks"
+    );
     let (mut saw_all_old, mut saw_all_new) = (false, false);
+    let mut record_tears = 0u64;
     for k in 0..=total {
-        let (mut disk, mut bc, fs) = setup();
-        disk.power_cut_after(k);
-        for (i, new) in news.iter().enumerate() {
-            // Ops after the cut fires fail; that's the scenario.
-            let _ = fs.write_file(&mut disk, &mut bc, &name(i), new);
-        }
-        disk.power_restored();
-        let mut disk2 = MemDisk::from_image(disk.image().to_vec());
+        let (mut m, mut bc, fs) = setup();
+        m.power_cut_after(k);
+        burst(&mut m, &mut bc, &fs);
+        let torn = m.torn_writes() > 0;
+        m.power_restored();
+        let image = m.image();
+        let record_started = first_payload(&image) != stale_payload;
+        let mut disk2 = MemDisk::from_image(image);
         let mut bc2 = BufCache::default();
         let fs2 = Fat32::mount(&mut disk2, &mut bc2).unwrap();
-        check_fat_structure(&mut disk2, &mut bc2, &fs2, &format!("group cut {k}"));
+        let note = format!("{medium} group cut {k}");
+        check_fat_structure(&mut disk2, &mut bc2, &fs2, &note);
         let mut new_count = 0;
         for i in 0..n_files {
             let content = fs2.read_file(&mut disk2, &mut bc2, &name(i)).unwrap();
@@ -606,7 +646,7 @@ fn fat32_group_committed_burst_cut_sweep_is_old_xor_new_per_txn() {
                 new_count += 1;
             } else {
                 panic!(
-                    "cut at {k}/{total}: {} holds {} bytes matching neither version",
+                    "[{medium}] cut at {k}/{total}: {} holds {} bytes matching neither version",
                     name(i),
                     content.len()
                 );
@@ -614,16 +654,33 @@ fn fat32_group_committed_burst_cut_sweep_is_old_xor_new_per_txn() {
         }
         assert!(
             new_count == 0 || new_count == n_files,
-            "cut at {k}/{total}: group commit must be all-or-nothing, got {new_count}/{n_files} new"
+            "[{medium}] cut at {k}/{total}: group commit must be all-or-nothing, \
+             got {new_count}/{n_files} new"
         );
         if new_count == 0 {
             saw_all_old = true;
+            // Once the record's command persists a block, power is lost
+            // only inside it or after the commit point (which replays to
+            // all-new), so a tear here is the record's own command.
+            if torn && record_started {
+                record_tears += 1;
+            }
         } else {
             saw_all_new = true;
         }
     }
-    assert!(saw_all_old, "early cuts must preserve every old version");
-    assert!(saw_all_new, "the uncut run must land every new version");
+    assert!(
+        saw_all_old,
+        "[{medium}] early cuts must preserve every old version"
+    );
+    assert!(
+        saw_all_new,
+        "[{medium}] the uncut run must land every new version"
+    );
+    assert!(
+        record_tears > 0,
+        "[{medium}] the sweep must tear the commit record's payload command"
+    );
 }
 
 #[test]
@@ -732,6 +789,60 @@ impl DmaRig {
         let mut out = vec![0u8; blocks as usize * BLOCK_SIZE];
         self.sd.read_range(0, blocks, &mut out).unwrap();
         out
+    }
+}
+
+/// A device a cut sweep can run on: hand out a block-device view, arm and
+/// lift a power cut, and return what persisted as a remountable image.
+trait CutMedium {
+    fn with_dev<R>(&mut self, f: impl FnOnce(&mut dyn BlockDevice) -> R) -> R;
+    fn power_cut_after(&mut self, blocks: u64);
+    fn power_restored(&mut self);
+    fn torn_writes(&self) -> u64;
+    fn image(&mut self) -> Vec<u8>;
+}
+
+impl CutMedium for MemDisk {
+    fn with_dev<R>(&mut self, f: impl FnOnce(&mut dyn BlockDevice) -> R) -> R {
+        f(self)
+    }
+
+    fn power_cut_after(&mut self, blocks: u64) {
+        MemDisk::power_cut_after(self, blocks);
+    }
+
+    fn power_restored(&mut self) {
+        MemDisk::power_restored(self);
+    }
+
+    fn torn_writes(&self) -> u64 {
+        MemDisk::torn_writes(self)
+    }
+
+    fn image(&mut self) -> Vec<u8> {
+        MemDisk::image(self).to_vec()
+    }
+}
+
+impl CutMedium for DmaRig {
+    fn with_dev<R>(&mut self, f: impl FnOnce(&mut dyn BlockDevice) -> R) -> R {
+        f(&mut self.dev())
+    }
+
+    fn power_cut_after(&mut self, blocks: u64) {
+        self.sd.power_cut_after(blocks);
+    }
+
+    fn power_restored(&mut self) {
+        self.sd.power_restored();
+    }
+
+    fn torn_writes(&self) -> u64 {
+        self.sd.torn_writes()
+    }
+
+    fn image(&mut self) -> Vec<u8> {
+        DmaRig::image(self)
     }
 }
 
