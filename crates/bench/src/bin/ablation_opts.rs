@@ -100,9 +100,9 @@ struct OrderedWriteback {
 #[derive(Debug, Clone, Serialize)]
 struct BatchedWbRun {
     /// Posted write cache on the card? When true, completed writes park in
-    /// volatile card RAM and only the fsync's FLUSH barrier (plus the
-    /// intent log's FUA commit records) makes them durable — the barrier
-    /// cost the CI gate holds within 5% of the write-through run.
+    /// volatile card RAM and only a FLUSH barrier (the fsync's, or the
+    /// intent log's commit points) makes them durable — the barrier cost
+    /// the CI gate holds within 5% of the write-through run.
     posted: bool,
     /// Bytes written (then fsync'd) to the FAT volume.
     bytes: u64,
@@ -143,7 +143,7 @@ struct GroupCommitRun {
 /// on or off. Both arms durably commit every transaction (the unjournaled
 /// path falls back to a full cache flush per operation), so the delta is
 /// the pure journal tax: writing each touched sector to the log — payload,
-/// checksummed header, FUA header clear — before it drains home.
+/// checksummed header, flushed header clear — before it drains home.
 #[derive(Debug, Clone, Serialize)]
 struct JournalRun {
     /// Write-ahead metadata journal enabled?
@@ -154,7 +154,7 @@ struct JournalRun {
     log_commits: u64,
     /// Blocks drained home to the ramdisk by the cache during the burst.
     /// The journal arm's extra writes (log payload, checksummed header,
-    /// FUA header clear) go straight to the device at commit time and are
+    /// header clear) go straight to the device at commit time and are
     /// deliberately not counted here — `log_commits` tracks them.
     writebacks: u64,
     /// Metadata operations in the burst.
@@ -201,7 +201,7 @@ struct BenchFs {
     batched_wb_on: BatchedWbRun,
     /// The batched write path on a posted-write-cache card: completed
     /// writes park in volatile card RAM, and durability comes only from
-    /// the fsync's FLUSH barrier plus the intent log's FUA commit records.
+    /// the fsync's FLUSH barrier and the intent log's commit points.
     /// The CI gate holds this within 5% of `batched_wb_on`.
     posted_cache_barrier: BatchedWbRun,
     /// Group-committed intent log vs per-operation commits.
@@ -225,7 +225,7 @@ struct BenchFs {
     pio_prefetch_gain: f64,
     /// dma_on over dma_off: what the DMA data path + queue buy end to end.
     dma_speedup: f64,
-    /// Throughput cost of the posted-cache FLUSH/FUA barriers, in percent
+    /// Throughput cost of the posted-cache FLUSH barriers, in percent
     /// of `batched_wb_on` (negative = free). Acceptance bar: < 5%.
     posted_barrier_overhead_pct: f64,
     /// Wall-clock cost of the xv6fs journal on the metadata burst, in
@@ -617,8 +617,8 @@ fn main() {
     );
 
     // 5b. The same batched write path on a posted-write-cache card: every
-    // fsync pays a real FLUSH barrier and every intent-log commit record a
-    // FUA program. Acceptance bar: within 5% of the write-through run.
+    // fsync pays a real FLUSH barrier. Acceptance bar: within 5% of the
+    // write-through run.
     let posted_barrier = batched_run(true);
     let posted_barrier_overhead_pct = if bw_on.mb_s > 0.0 {
         (bw_on.mb_s - posted_barrier.mb_s) / bw_on.mb_s * 100.0
@@ -626,7 +626,7 @@ fn main() {
         0.0
     };
     println!(
-        "posted-cache barrier: {:.2} MB/s with FLUSH/FUA barriers vs {:.2} MB/s write-through ({posted_barrier_overhead_pct:+.2}% cost for durable barriers)",
+        "posted-cache barrier: {:.2} MB/s with FLUSH barriers vs {:.2} MB/s write-through ({posted_barrier_overhead_pct:+.2}% cost for durable barriers)",
         posted_barrier.mb_s, bw_on.mb_s
     );
 

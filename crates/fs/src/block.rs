@@ -119,16 +119,6 @@ pub trait BlockDevice {
         Ok(())
     }
 
-    /// Writes one block with Force Unit Access semantics: the block is
-    /// durable when the call returns, regardless of any posted write cache.
-    /// The default composes `write_block` + `flush`; devices with a real
-    /// FUA command (the SD host) override it to persist just this block
-    /// without draining the whole cache.
-    fn write_block_fua(&mut self, lba: u64, data: &[u8]) -> FsResult<()> {
-        self.write_block(lba, data)?;
-        self.flush()
-    }
-
     /// Returns accumulated I/O statistics.
     fn stats(&self) -> BlockIoStats;
 
@@ -292,7 +282,7 @@ impl MemDisk {
 
     /// Enables or disables the modeled posted write cache. When on,
     /// completed writes land volatile and become durable only at a
-    /// [`BlockDevice::flush`] (or FUA write); a power cut drops every
+    /// [`BlockDevice::flush`]; a power cut drops every
     /// un-flushed block. Off by default: the instant-persist semantics the
     /// rest of the suite was written against.
     pub fn set_posted_writes(&mut self, on: bool) {
@@ -670,28 +660,6 @@ impl BlockDevice for SdBlockDevice<'_> {
         self.sd.flush_cache().map_err(FsError::from)
     }
 
-    /// FUA write: a single block programmed straight to flash, bypassing
-    /// the posted cache — durable on return without paying a whole-cache
-    /// FLUSH. Priced as a command plus a forced program when the posted
-    /// cache is live; identical to a plain CMD24 otherwise.
-    fn write_block_fua(&mut self, lba: u64, data: &[u8]) -> FsResult<()> {
-        let mut buf = [0u8; BLOCK_SIZE];
-        buf.copy_from_slice(data);
-        if self.sd.posted_writes() {
-            if let Some(ctx) = self.dma.as_mut() {
-                let now = ctx.clock.cycles(ctx.core);
-                let cost = ctx
-                    .cost
-                    .sd_cmd_latency
-                    .saturating_add(ctx.cost.sd_fua_block_transfer);
-                ctx.clock.advance_to(ctx.core, now.saturating_add(cost));
-            }
-        }
-        self.sd
-            .write_block_fua(self.partition_start.saturating_add(lba), &buf)
-            .map_err(FsError::from)
-    }
-
     fn stats(&self) -> BlockIoStats {
         BlockIoStats {
             single_cmds: self.sd.single_block_cmds(),
@@ -792,6 +760,47 @@ impl BlockDevice for SdBlockDevice<'_> {
                 }
             }
         }
+    }
+}
+
+/// An SD card in DMA mode with its own engine and clock: the kernel's
+/// asynchronous block path, reproduced standalone for unit tests.
+#[cfg(test)]
+pub(crate) struct DmaRig {
+    pub(crate) sd: hal::sdhost::SdHost,
+    pub(crate) engine: DmaEngine,
+    pub(crate) clock: Clock,
+    pub(crate) cost: CostModel,
+}
+
+#[cfg(test)]
+impl DmaRig {
+    pub(crate) fn new(blocks: u64) -> Self {
+        let mut sd = hal::sdhost::SdHost::new(blocks);
+        sd.init().unwrap();
+        sd.set_data_mode(SdDataMode::Dma);
+        DmaRig {
+            sd,
+            engine: DmaEngine::new(),
+            clock: Clock::new(1, 1_000_000_000),
+            cost: CostModel::pi3(),
+        }
+    }
+
+    /// A DMA-mode device over the whole card.
+    pub(crate) fn dev(&mut self) -> SdBlockDevice<'_> {
+        let blocks = self.sd.total_blocks();
+        SdBlockDevice::with_dma(
+            &mut self.sd,
+            0,
+            blocks,
+            Some(SdDmaCtx {
+                engine: &mut self.engine,
+                clock: &mut self.clock,
+                cost: &self.cost,
+                core: 0,
+            }),
+        )
     }
 }
 

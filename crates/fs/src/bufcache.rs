@@ -94,10 +94,10 @@
 //!     re-check for completion-time errors, and finish with the device's
 //!     own cache-FLUSH command ([`BlockDevice::flush`]), so "flush returned
 //!     Ok" still means "on the medium" even over a card whose posted write
-//!     cache parks completed writes in volatile RAM. Single sectors that
-//!     must be durable without a whole-cache FLUSH (the transaction
-//!     layer's commit-header clear) go down as Force Unit Access writes
-//!     ([`BlockDevice::write_block_fua`]). [`BufCache::flush_some`]
+//!     cache parks completed writes in volatile RAM. The transaction
+//!     layer's commit records and header clears bypass the cache through
+//!     [`BufCache::write_through`], which rides the same queue and returns
+//!     once its own chain completed. [`BufCache::flush_some`]
 //!     (the `kbio` budgeted pass) deliberately does *not* drain and never
 //!     issues the device barrier: it reaps whatever finished since the
 //!     last pass, submits up to its budget, and returns — write-back cost
@@ -234,7 +234,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::block::{BlockDevice, BLOCK_SIZE};
+use crate::block::{BlockDevice, SgRun, BLOCK_SIZE};
 use crate::FsResult;
 
 /// Blocks per cache extent (8 × 512 B = 4 KB, one FAT32 cluster).
@@ -2419,6 +2419,82 @@ impl BufCache {
         Ok(())
     }
 
+    /// Reaps (waiting if necessary) until the device queue accepts a submit.
+    fn wait_for_queue_room(&mut self, dev: &mut dyn BlockDevice) -> FsResult<()> {
+        if dev.can_submit() {
+            return Ok(());
+        }
+        // The writer is about to spin-reap someone's chains to make queue
+        // room; count the stall so the kernel's backlog heuristics (kick the
+        // flusher before spinning) have a signal to act on.
+        self.queue_full_stalls += 1;
+        while !dev.can_submit() {
+            if self.reap_blocking(dev)?.is_empty() {
+                return Err(crate::FsError::Io(
+                    "SD queue full with nothing in flight".into(),
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes the run-major `data` to the device blocks `runs` and returns
+    /// once the device has completed the transfer — the raw synchronous
+    /// write behind the transaction layer's commit records. The blocks
+    /// bypass the cache, so they must be ones it never holds (the log area).
+    ///
+    /// Over a queued device the runs go out as ONE scatter-gather chain,
+    /// persisted in run order, behind whatever is already queued: this waits
+    /// for queue room, submits, and reaps until that chain completes,
+    /// applying every other chain's completion on the way so no read-ahead
+    /// or write-back result is lost. The chain's own result is returned. A
+    /// device without a queue gets one polled command per run: a single-block
+    /// write for a one-block run, a range write otherwise.
+    pub fn write_through(
+        &mut self,
+        dev: &mut dyn BlockDevice,
+        runs: &[SgRun],
+        data: &[u8],
+    ) -> FsResult<()> {
+        if dev.queue_depth() == 0 {
+            let mut off = 0usize;
+            for &(lba, count) in runs {
+                let end = off + count as usize * BLOCK_SIZE;
+                let chunk = data.get(off..end).ok_or_else(|| {
+                    crate::FsError::Invalid("write_through buffer size mismatch".into())
+                })?;
+                if count == 1 {
+                    dev.write_block(lba, chunk)?;
+                } else {
+                    dev.write_range(lba, count, chunk)?;
+                }
+                off = end;
+            }
+            return Ok(());
+        }
+        self.wait_for_queue_room(dev)?;
+        let id = dev.submit_write_sg(runs, data)?;
+        loop {
+            let comps = dev.wait_some()?;
+            if comps.is_empty() {
+                return Err(crate::FsError::Io(
+                    "write-through chain lost from the device queue".into(),
+                ));
+            }
+            let mut own = None;
+            for c in comps {
+                if c.id == id {
+                    own = Some(c.result);
+                } else {
+                    self.apply_completion(&c);
+                }
+            }
+            if let Some(result) = own {
+                return result;
+            }
+        }
+    }
+
     /// Submits one scatter-gather write chain covering `runs`: snapshots the
     /// payload from the extents, trades the blocks' dirty bits for `writing`,
     /// waits for queue space if needed, and returns the blocks submitted.
@@ -2440,19 +2516,7 @@ impl BufCache {
                 off += BLOCK_SIZE;
             }
         }
-        if !dev.can_submit() {
-            // The writer is about to spin-reap someone's chains to make
-            // queue room; count the stall so the kernel's backlog heuristics
-            // (kick the flusher before spinning) have a signal to act on.
-            self.queue_full_stalls += 1;
-            while !dev.can_submit() {
-                if self.reap_blocking(dev)?.is_empty() {
-                    return Err(crate::FsError::Io(
-                        "SD queue full with nothing in flight".into(),
-                    ));
-                }
-            }
-        }
+        self.wait_for_queue_room(dev)?;
         let sg: Vec<(u64, u64)> = runs.iter().map(|r| (r.start, r.len)).collect();
         let id = dev.submit_write_sg(&sg, &bytes)?;
         for run in runs {
@@ -4029,50 +4093,11 @@ mod tests {
 
     mod dma {
         use super::*;
-        use crate::block::{SdBlockDevice, SdDmaCtx};
-        use hal::clock::Clock;
-        use hal::cost::CostModel;
-        use hal::dma::DmaEngine;
-        use hal::sdhost::{SdDataMode, SdHost};
-
-        struct Rig {
-            sd: SdHost,
-            engine: DmaEngine,
-            clock: Clock,
-            cost: CostModel,
-        }
-
-        impl Rig {
-            fn new(blocks: u64) -> Self {
-                let mut sd = SdHost::new(blocks);
-                sd.init().unwrap();
-                sd.set_data_mode(SdDataMode::Dma);
-                Rig {
-                    sd,
-                    engine: DmaEngine::new(),
-                    clock: Clock::new(1, 1_000_000_000),
-                    cost: CostModel::pi3(),
-                }
-            }
-
-            fn dev(&mut self) -> SdBlockDevice<'_> {
-                SdBlockDevice::with_dma(
-                    &mut self.sd,
-                    0,
-                    u64::MAX / 1024, // partition covers the card
-                    Some(SdDmaCtx {
-                        engine: &mut self.engine,
-                        clock: &mut self.clock,
-                        cost: &self.cost,
-                        core: 0,
-                    }),
-                )
-            }
-        }
+        use crate::block::DmaRig;
 
         #[test]
         fn async_flush_is_a_queue_drain_barrier() {
-            let mut rig = Rig::new(4096);
+            let mut rig = DmaRig::new(4096);
             let mut bc = BufCache::default();
             let data = vec![0x77u8; BLOCK_SIZE * 24];
             bc.write_range(&mut rig.dev(), 100, 24, &data).unwrap();
@@ -4094,7 +4119,7 @@ mod tests {
 
         #[test]
         fn flush_some_submits_without_draining_and_dirty_tracks_inflight() {
-            let mut rig = Rig::new(4096);
+            let mut rig = DmaRig::new(4096);
             let mut bc = BufCache::default();
             let data = vec![0x55u8; BLOCK_SIZE * 16];
             bc.write_range(&mut rig.dev(), 0, 16, &data).unwrap();
@@ -4120,7 +4145,7 @@ mod tests {
             // The no-starvation contract of the polled flush_some, kept under
             // DMA: each contiguous run rides its own chain, so a permanently
             // bad sector re-dirties only its run while the rest drains.
-            let mut rig = Rig::new(4096);
+            let mut rig = DmaRig::new(4096);
             rig.sd.inject_fault(4);
             let mut bc = BufCache::default();
             let data = vec![0xABu8; BLOCK_SIZE * 8];
@@ -4164,7 +4189,7 @@ mod tests {
         fn reads_larger_than_the_cache_stream_through_it() {
             // The demand path serves requests in bounded windows, so a read
             // bigger than the whole cache must not wedge on pinned extents.
-            let mut rig = Rig::new(16384);
+            let mut rig = DmaRig::new(16384);
             for lba in 0..4096u64 {
                 rig.sd
                     .write_block(lba, &[(lba % 251) as u8; BLOCK_SIZE])
@@ -4184,7 +4209,7 @@ mod tests {
 
         #[test]
         fn demand_read_waits_on_an_inflight_prefetch_instead_of_reissuing() {
-            let mut rig = Rig::new(4096);
+            let mut rig = DmaRig::new(4096);
             for lba in 0..64 {
                 rig.sd.write_block(lba, &[lba as u8; BLOCK_SIZE]).unwrap();
             }
@@ -4205,7 +4230,7 @@ mod tests {
 
         #[test]
         fn failed_async_writeback_leaves_blocks_dirty_and_retryable() {
-            let mut rig = Rig::new(4096);
+            let mut rig = DmaRig::new(4096);
             rig.sd.inject_fault(5);
             let mut bc = BufCache::default();
             let data = vec![0xEEu8; BLOCK_SIZE * 8];
@@ -4225,8 +4250,86 @@ mod tests {
         }
 
         #[test]
+        fn write_through_applies_foreign_completions_while_it_waits() {
+            let mut rig = DmaRig::new(4096);
+            for lba in 0..64 {
+                rig.sd.write_block(lba, &[lba as u8; BLOCK_SIZE]).unwrap();
+            }
+            let mut bc = BufCache::default();
+            bc.set_prefetch(true);
+            assert_eq!(bc.prefetch_range(&mut rig.dev(), 8, 16).unwrap(), 16);
+            let owned =
+                |bc: &BufCache, n: u64| (1..=n).filter(|&id| bc.chain_owner(id).is_some()).count();
+            assert_eq!(
+                owned(&bc, rig.sd.dma_cmds()),
+                1,
+                "read-ahead chain in flight"
+            );
+            // The write queues behind the read-ahead chain, so its wait reaps
+            // that chain first.
+            let data = vec![0x3Cu8; BLOCK_SIZE * 2];
+            bc.write_through(&mut rig.dev(), &[(200, 2)], &data)
+                .unwrap();
+            assert_eq!(bc.inflight_cmds(), 0, "no leftover in-flight entry");
+            assert_eq!(owned(&bc, rig.sd.dma_cmds()), 0, "no leftover owner record");
+            assert_eq!(
+                bc.completions_applied(),
+                1,
+                "the read-ahead, not our own chain"
+            );
+            let (cmds, misses) = (rig.sd.dma_cmds(), bc.stats().misses);
+            let mut out = vec![0u8; BLOCK_SIZE * 16];
+            bc.read_range(&mut rig.dev(), 8, 16, &mut out).unwrap();
+            assert_eq!(
+                (rig.sd.dma_cmds(), bc.stats().misses),
+                (cmds, misses),
+                "read-ahead blocks cached"
+            );
+            for (i, chunk) in out.chunks(BLOCK_SIZE).enumerate() {
+                assert!(chunk.iter().all(|&b| b == 8 + i as u8), "block {}", 8 + i);
+            }
+            let mut back = vec![0u8; BLOCK_SIZE * 2];
+            rig.sd.read_range(200, 2, &mut back).unwrap();
+            assert_eq!(back, data);
+        }
+
+        #[test]
+        fn a_faulted_commit_record_leaves_the_group_for_the_next_barrier() {
+            use crate::txn::TxnLog;
+            let mut rig = DmaRig::new(4096);
+            let mut bc = BufCache::default();
+            let mut log = TxnLog::new(1, 16, 4096);
+            log.set_group_ops(8);
+            let targets = [100u64, 205, 310];
+            log.with_txn(&mut rig.dev(), &mut bc, |dev, bc| {
+                for &lba in &targets {
+                    bc.write(dev, lba, &[lba as u8; BLOCK_SIZE])?;
+                    TxnLog::log_sector(bc, lba, 1);
+                }
+                Ok(())
+            })
+            .unwrap();
+            let commits = bc.stats().log_commits;
+            rig.sd.inject_fault(log.log_start());
+            assert!(log.commit_pending(&mut rig.dev(), &mut bc).is_err());
+            assert_eq!(bc.group_sectors(), targets.len(), "the group stays pending");
+            assert_eq!(bc.stats().log_commits, commits);
+            rig.sd.clear_faults();
+            log.commit_pending(&mut rig.dev(), &mut bc).unwrap();
+            assert_eq!(bc.group_sectors(), 0);
+            assert_eq!(bc.stats().log_commits, commits + 1);
+            let mut back = [0u8; BLOCK_SIZE];
+            for &lba in &targets {
+                rig.sd.read_block(lba, &mut back).unwrap();
+                assert_eq!(back, [lba as u8; BLOCK_SIZE], "home sector {lba}");
+            }
+            rig.sd.read_block(log.log_start(), &mut back).unwrap();
+            assert_eq!(back, [0u8; BLOCK_SIZE], "header cleared");
+        }
+
+        #[test]
         fn torn_dma_chain_persists_a_prefix_and_ordered_metadata_never_precedes_data() {
-            let mut rig = Rig::new(4096);
+            let mut rig = DmaRig::new(4096);
             let mut bc = BufCache::default();
             // Metadata at a low LBA depending on data at a high LBA: the
             // ordered async drain submits the data chain first and the
@@ -4259,7 +4362,7 @@ mod tests {
 
         #[test]
         fn blocking_demand_read_parks_instead_of_spinning() {
-            let mut rig = Rig::new(4096);
+            let mut rig = DmaRig::new(4096);
             for lba in 0..64 {
                 rig.sd.write_block(lba, &[lba as u8; BLOCK_SIZE]).unwrap();
             }
@@ -4296,7 +4399,7 @@ mod tests {
 
         #[test]
         fn blocking_read_retry_is_idempotent_for_the_stream_table() {
-            let mut rig = Rig::new(4096);
+            let mut rig = DmaRig::new(4096);
             let mut bc = BufCache::default();
             bc.set_block_demand(true);
             let mut out = vec![0u8; BLOCK_SIZE * 8];
@@ -4319,7 +4422,7 @@ mod tests {
 
         #[test]
         fn failed_blocking_chain_surfaces_the_error_on_retry_not_a_deadlock() {
-            let mut rig = Rig::new(4096);
+            let mut rig = DmaRig::new(4096);
             rig.sd.inject_fault(10);
             let mut bc = BufCache::default();
             bc.set_block_demand(true);
@@ -4358,7 +4461,7 @@ mod tests {
 
         #[test]
         fn full_prefetch_queue_drops_the_speculation() {
-            let mut rig = Rig::new(65536);
+            let mut rig = DmaRig::new(65536);
             let mut bc = BufCache::default();
             bc.set_prefetch(true);
             // Fill the queue with distinct prefetch chains.

@@ -41,13 +41,14 @@
 //!
 //! The commit sequence for a group is: ready-only cache drain (everything a
 //! logged sector could reference — data blocks, interleaved non-logged metadata
-//! — becomes durable first), payload capture from the cache, one multi-block
-//! payload write, then the single-sector checksummed header, **device FLUSH
-//! (the commit point)**, dependency-edge release, pin release, home-sector
-//! drain, header clear (written FUA so it cannot linger in a posted write
-//! cache). A power cut before the commit point leaves the old tree: the logged
-//! sectors were cache-only, pinned, and any allocation units they freed were
-//! reserved against reuse ([`BufCache::note_pending_free`]). A cut after the
+//! — becomes durable first), payload capture from the cache, the record as one
+//! ordered write (the payload run, then the single-sector checksummed header:
+//! one DMA chain on the SD card, persisted in that order), **device FLUSH (the
+//! commit point)**, dependency-edge release, pin release, home-sector drain,
+//! header clear (a write followed by a FLUSH, so it cannot linger in a posted
+//! write cache). A power cut before the commit point leaves the old tree: the
+//! logged sectors were cache-only, pinned, and any allocation units they freed
+//! were reserved against reuse ([`BufCache::note_pending_free`]). A cut after the
 //! commit point is repaired by replay, which is idempotent (payloads are final
 //! contents) and validated (magic, count, target bounds, FNV-1a over header and
 //! payloads), so a torn commit record is indistinguishable from no record. With
@@ -264,9 +265,12 @@ impl TxnLog {
     }
 
     /// Writes the open commit group's single checksummed record and drains it
-    /// home: ready drain → payload capture → one multi-block payload write,
-    /// then the single-sector header → device FLUSH (the commit point) →
-    /// dependency release → pin release → home drain → header clear (FUA).
+    /// home: ready drain → payload capture → the record as one ordered write
+    /// (payload run, then the single-sector header) → device FLUSH (the
+    /// commit point) → dependency release → pin release → home drain →
+    /// header clear (a write, then FLUSH). Both record writes go through
+    /// [`BufCache::write_through`]: one scatter-gather chain each on a queued
+    /// device, polled commands otherwise.
     /// Payloads are captured at *commit* time, so the record reflects any
     /// non-logged write that shared a sector with the group — replay can never
     /// roll one back — and the pre-commit [`BufCache::flush_ready`] makes every
@@ -294,33 +298,39 @@ impl TxnLog {
             bc.read(dev, lba, &mut p)?;
             payloads.push(p);
         }
-        // One multi-block write (a single CMD25 on the SD card) carries the
-        // whole payload run. A cut that tears it leaves a prefix of payloads
-        // and no header, which replay ignores like any torn record.
-        dev.write_range(
-            self.log_start + 1,
-            payloads.len() as u64,
-            &payloads.concat(),
+        // The record is one ordered write: the payload run, then the header
+        // (one chain on a queued device, persisted in run order). A cut
+        // anywhere in it leaves payloads without a header, which replay
+        // ignores like any torn record.
+        let mut record = payloads.concat();
+        record.extend_from_slice(&Self::header(&targets, &payloads));
+        bc.write_through(
+            dev,
+            &[
+                (self.log_start + 1, payloads.len() as u64),
+                (self.log_start, 1),
+            ],
+            &record,
         )?;
-        let hdr = Self::header(&targets, &payloads);
-        dev.write_block(self.log_start, &hdr)?;
         dev.flush()?; // commit point
-                      // Past the commit point the record repairs any torn home write, so
-                      // the logged sectors' (deliberately cyclic) ordering edges can go —
-                      // otherwise the home drain would trip the forced-cycle escape hatch
-                      // for updates that are in fact fully protected.
-                      // Drop the ordering edges while the group still pins their sectors,
-                      // *then* release the pins: the cache invariant is "a dependency
-                      // cycle exists only among pinned sectors", and the reverse order
-                      // would leave an unpinned cycle in the window between the calls.
+
+        // Past the commit point the record repairs any torn home write, so
+        // the logged sectors' (deliberately cyclic) ordering edges can go —
+        // otherwise the home drain would trip the forced-cycle escape hatch
+        // for updates that are in fact fully protected. Drop the edges while
+        // the group still pins their sectors, *then* release the pins: the
+        // cache invariant is "a dependency cycle exists only among pinned
+        // sectors", and the reverse order would leave an unpinned cycle in
+        // the window between the calls.
         bc.clear_dependencies(&targets);
         bc.group_clear_committed();
         bc.flush_ready(dev)?; // home sectors (ordered, cycles never forced)
-        let zero = vec![0u8; BLOCK_SIZE];
-        // FUA: the cleared header must not linger in a posted write cache,
-        // or a crash would replay a record whose home sectors have since
-        // been rewritten by non-logged writers.
-        dev.write_block_fua(self.log_start, &zero)
+
+        // The cleared header must not linger in a posted write cache, or a
+        // crash would replay a record whose home sectors have since been
+        // rewritten by non-logged writers: write it, then FLUSH.
+        bc.write_through(dev, &[(self.log_start, 1)], &[0u8; BLOCK_SIZE])?;
+        dev.flush()
     }
 
     /// Replays a committed log record onto its home sectors, then clears
@@ -403,8 +413,109 @@ impl TxnLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::SdBlockDevice;
+    use crate::block::{BlockIoStats, DmaRig, SdBlockDevice, SgCompletion, SgRun};
     use hal::sdhost::SdHost;
+
+    /// Forwards to a DMA-mode SD device and records every write chain.
+    struct ChainSpy<'a> {
+        dev: SdBlockDevice<'a>,
+        chains: Vec<Vec<SgRun>>,
+    }
+
+    impl BlockDevice for ChainSpy<'_> {
+        fn num_blocks(&self) -> u64 {
+            self.dev.num_blocks()
+        }
+        fn read_block(&mut self, lba: u64, out: &mut [u8]) -> FsResult<()> {
+            self.dev.read_block(lba, out)
+        }
+        fn write_block(&mut self, lba: u64, data: &[u8]) -> FsResult<()> {
+            self.dev.write_block(lba, data)
+        }
+        fn read_range(&mut self, lba: u64, count: u64, out: &mut [u8]) -> FsResult<()> {
+            self.dev.read_range(lba, count, out)
+        }
+        fn write_range(&mut self, lba: u64, count: u64, data: &[u8]) -> FsResult<()> {
+            self.dev.write_range(lba, count, data)
+        }
+        fn flush(&mut self) -> FsResult<()> {
+            self.dev.flush()
+        }
+        fn stats(&self) -> BlockIoStats {
+            self.dev.stats()
+        }
+        fn queue_depth(&self) -> usize {
+            self.dev.queue_depth()
+        }
+        fn inflight(&self) -> usize {
+            self.dev.inflight()
+        }
+        fn can_submit(&self) -> bool {
+            self.dev.can_submit()
+        }
+        fn submit_read_sg(&mut self, runs: &[SgRun]) -> FsResult<u64> {
+            self.dev.submit_read_sg(runs)
+        }
+        fn submit_write_sg(&mut self, runs: &[SgRun], data: &[u8]) -> FsResult<u64> {
+            self.chains.push(runs.to_vec());
+            self.dev.submit_write_sg(runs, data)
+        }
+        fn poll_completions(&mut self) -> Vec<SgCompletion> {
+            self.dev.poll_completions()
+        }
+        fn wait_some(&mut self) -> FsResult<Vec<SgCompletion>> {
+            self.dev.wait_some()
+        }
+    }
+
+    #[test]
+    fn on_a_queued_device_a_commit_is_two_chains_and_no_polled_command() {
+        let mut rig = DmaRig::new(4096);
+        let mut bc = BufCache::default();
+        let mut log = TxnLog::new(1, 16, 4096);
+        log.set_group_ops(8);
+        let targets = [100u64, 205, 310];
+        log.with_txn(&mut rig.dev(), &mut bc, |dev, bc| {
+            for (i, &lba) in targets.iter().enumerate() {
+                bc.write(dev, lba, &[i as u8 + 1; BLOCK_SIZE])?;
+                TxnLog::log_sector(bc, lba, 1);
+            }
+            Ok(())
+        })
+        .unwrap();
+        let polled = |sd: &SdHost| (sd.single_block_cmds(), sd.range_cmds());
+        let before = polled(&rig.sd);
+        let mut spy = ChainSpy {
+            dev: rig.dev(),
+            chains: Vec::new(),
+        };
+        log.commit_pending(&mut spy, &mut bc).unwrap();
+        let chains = spy.chains;
+        assert_eq!(polled(&rig.sd), before, "no polled command");
+        // The home drain rides chains of its own; the log area sees exactly
+        // the record (payload run first, then the header) and the clear.
+        let log_end = log.log_start() + log.log_sectors();
+        let log_chains: Vec<Vec<SgRun>> = chains
+            .into_iter()
+            .filter(|c| c.iter().any(|&(lba, _)| lba < log_end))
+            .collect();
+        assert_eq!(
+            log_chains,
+            vec![vec![(2, targets.len() as u64), (1, 1)], vec![(1, 1)]]
+        );
+        let mut run = vec![0u8; (targets.len() + 1) * BLOCK_SIZE];
+        rig.sd
+            .read_range(1, targets.len() as u64 + 1, &mut run)
+            .unwrap();
+        let (hdr, payloads) = run.split_at(BLOCK_SIZE);
+        assert!(hdr.iter().all(|&b| b == 0), "header cleared");
+        for (i, p) in payloads.chunks_exact(BLOCK_SIZE).enumerate() {
+            assert!(
+                p.iter().all(|&b| b == i as u8 + 1),
+                "payload {i} in log order"
+            );
+        }
+    }
 
     #[test]
     fn a_commit_record_sends_its_payloads_as_one_range_command() {

@@ -619,7 +619,7 @@ impl Kernel {
         }
 
         // Posted device write cache: writes park in volatile card/ramdisk RAM
-        // until a FLUSH/FUA barrier. The consistency layers above already
+        // until a FLUSH barrier. The consistency layers above already
         // emit the barriers; this knob makes cuts actually test them.
         if self.config.posted_write_cache {
             if let Some(rd) = self.ramdisk.as_mut() {

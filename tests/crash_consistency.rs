@@ -23,7 +23,10 @@ use proto_repro::hal::dma::DmaEngine;
 use proto_repro::hal::sdhost::{SdDataMode, SdHost};
 use proto_repro::protofs::block::{SdBlockDevice, SdDmaCtx};
 use proto_repro::protofs::bufcache::BufCache;
-use proto_repro::protofs::fat32::{Bpb, Fat32, FIRST_CLUSTER, INTENT_LOG_START};
+use proto_repro::protofs::fat32::{
+    Bpb, Fat32, FIRST_CLUSTER, INTENT_LOG_SECTORS, INTENT_LOG_START,
+};
+use proto_repro::protofs::txn::TXN_MAGIC;
 use proto_repro::protofs::xv6fs::{InodeType, Xv6Fs};
 use proto_repro::protofs::{BlockDevice, FsError, MemDisk, BLOCK_SIZE};
 
@@ -563,7 +566,9 @@ fn fat32_group_committed_burst_cut_sweep_is_old_xor_new_per_txn() {
 /// multi-block command, so the sweep must also see cuts that tear exactly
 /// that command: a range write torn, the first log payload sector rewritten,
 /// and the remount still all-old (no header landed, so the record is
-/// ignored).
+/// ignored). The record is one ordered write — payload run, then header —
+/// so the sweep must also land a cut after its last payload block and before
+/// its header, and that cut too must remount all-old.
 fn group_burst_cut_sweep<M: CutMedium>(medium: &str, fresh: impl Fn() -> M) {
     let n_files = 4usize;
     let name = |i: usize| format!("/G{i}.BIN");
@@ -603,10 +608,15 @@ fn group_burst_cut_sweep<M: CutMedium>(medium: &str, fresh: impl Fn() -> M) {
         let o = (INTENT_LOG_START as usize + 1) * BLOCK_SIZE;
         image[o..o + BLOCK_SIZE].to_vec()
     };
+    let log_area = |image: &[u8]| {
+        let o = INTENT_LOG_START as usize * BLOCK_SIZE;
+        image[o..o + INTENT_LOG_SECTORS as usize * BLOCK_SIZE].to_vec()
+    };
     let stale_payload = first_payload(&setup().0.image());
-    // Dry run: learn the burst's persisted-block budget and check the
-    // group really condensed to one commit record.
-    let total = {
+    // Dry run: learn the burst's persisted-block budget and the record's
+    // payloads (the clear zeroes only the header), and check the group
+    // really condensed to one commit record.
+    let (total, record_payloads) = {
         let (mut m, mut bc, fs) = setup();
         let before = m.with_dev(|dev| dev.stats().blocks);
         assert!(burst(&mut m, &mut bc, &fs), "[{medium}] uncut burst");
@@ -616,7 +626,8 @@ fn group_burst_cut_sweep<M: CutMedium>(medium: &str, fresh: impl Fn() -> M) {
             1,
             "[{medium}] one record for four txns"
         );
-        m.with_dev(|dev| dev.stats().blocks) - before
+        let total = m.with_dev(|dev| dev.stats().blocks) - before;
+        (total, log_area(&m.image())[BLOCK_SIZE..].to_vec())
     };
     assert!(
         total > 20,
@@ -624,6 +635,9 @@ fn group_burst_cut_sweep<M: CutMedium>(medium: &str, fresh: impl Fn() -> M) {
     );
     let (mut saw_all_old, mut saw_all_new) = (false, false);
     let mut record_tears = 0u64;
+    // Per cut: the log area as it persisted, and whether the remount was
+    // all-old.
+    let mut cuts: Vec<(Vec<u8>, bool)> = Vec::new();
     for k in 0..=total {
         let (mut m, mut bc, fs) = setup();
         m.power_cut_after(k);
@@ -632,6 +646,7 @@ fn group_burst_cut_sweep<M: CutMedium>(medium: &str, fresh: impl Fn() -> M) {
         m.power_restored();
         let image = m.image();
         let record_started = first_payload(&image) != stale_payload;
+        let log = log_area(&image);
         let mut disk2 = MemDisk::from_image(image);
         let mut bc2 = BufCache::default();
         let fs2 = Fat32::mount(&mut disk2, &mut bc2).unwrap();
@@ -668,7 +683,27 @@ fn group_burst_cut_sweep<M: CutMedium>(medium: &str, fresh: impl Fn() -> M) {
         } else {
             saw_all_new = true;
         }
+        cuts.push((log, new_count == 0));
     }
+    // Cut k stops between the record's payloads and its header when it
+    // already holds every payload, holds no header, and cut k + 1 persists
+    // the header.
+    let has_header = |log: &[u8]| &log[..TXN_MAGIC.len()] == TXN_MAGIC;
+    let mut header_gaps = 0u64;
+    for (k, pair) in cuts.windows(2).enumerate() {
+        let ((at, all_old), (next, _)) = (&pair[0], &pair[1]);
+        if !has_header(at) && has_header(next) && at[BLOCK_SIZE..] == record_payloads[..] {
+            header_gaps += 1;
+            assert!(
+                *all_old,
+                "[{medium}] cut at {k}/{total}: payloads without a header must remount all-old"
+            );
+        }
+    }
+    assert!(
+        header_gaps > 0,
+        "[{medium}] the sweep must cut after the record's payloads and before its header"
+    );
     assert!(
         saw_all_old,
         "[{medium}] early cuts must preserve every old version"
@@ -1189,10 +1224,10 @@ fn xv6fs_random_cut_schedules_remount_cleanly_and_keep_durable_data() {
 // ---- journaled xv6fs + posted device write cache ---------------------------
 //
 // The sweeps below run against a device whose completed writes sit in a
-// volatile posted cache until a FLUSH/FUA barrier — the model under which a
+// volatile posted cache until a FLUSH barrier — the model under which a
 // missing barrier is an observable bug, not a latent one. The journal's
-// commit protocol (drain data, log payloads, FLUSH, apply home, FUA header
-// clear) makes every metadata operation old-XOR-new; both xv6fs torn states
+// commit protocol (drain data, log payloads, FLUSH, apply home, flushed
+// header clear) makes every metadata operation old-XOR-new; both xv6fs torn states
 // the unjournaled fallback tolerates are asserted impossible here.
 
 /// A journaled xv6fs on a posted-write-cache MemDisk with `/f` holding
