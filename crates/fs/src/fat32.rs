@@ -38,9 +38,9 @@
 //! remount sees either the old tree or the complete file. Multi-sector
 //! metadata updates whose safe order is cyclic at sector granularity
 //! (mkdir, [`Fat32::rename`], [`Fat32::remove`], overwriting an existing
-//! file, directory extension) instead commit through a tiny physical redo
-//! log in the reserved region ([`INTENT_LOG_START`]) that [`Fat32::mount`]
-//! replays. The log machinery itself — record format, group commit, replay,
+//! file, appending to one, directory extension) instead commit through a
+//! tiny physical redo log in the reserved region ([`INTENT_LOG_START`])
+//! that [`Fat32::mount`] replays. The log machinery itself — record format, group commit, replay,
 //! the fallback for oversized transactions — is the filesystem-agnostic
 //! transaction layer in [`crate::txn`]; this module supplies only the
 //! placement (where the log lives on a FAT volume) and the choice of which
@@ -396,7 +396,7 @@ impl Fat32 {
     //
     // FAT32's intent log is now a client of the shared transaction layer
     // ([`crate::txn`]): a tiny physical redo log for multi-sector metadata
-    // updates (mkdir, rename, remove, file overwrite) living in the
+    // updates (mkdir, rename, remove, file overwrite and append) living in the
     // reserved region at `INTENT_LOG_START`, with group commit folding a
     // burst of transactions into one checksummed record. The mechanism —
     // ready-drain before the commit record, single-sector header as the
@@ -1019,7 +1019,9 @@ impl Fat32 {
     // ---- whole-file I/O -----------------------------------------------------------------------------
 
     /// Writes `data` as the complete contents of the file at `p`, creating it
-    /// if necessary (existing contents are replaced).
+    /// if necessary. Existing contents are replaced, not patched: a shorter
+    /// `data` truncates the file. [`Fat32::write_at`] routes every write at
+    /// offset 0 here, which is how the kernel truncates a rewritten file.
     ///
     /// A write to a *new* (or empty) file stays fully asynchronous: the data
     /// clusters, the FAT entries and finally the dirent are dirtied in the
@@ -1052,6 +1054,254 @@ impl Fat32 {
         })
     }
 
+    /// Writes `data` into the existing file at `p` at byte `offset`: the
+    /// kernel's positional `write`. Three cases:
+    ///
+    /// * **`offset == 0`** replaces the whole file through
+    ///   [`Fat32::write_file`]; bytes past `data.len()` are dropped.
+    /// * **`offset >= size`** (an append, or a hole that reads back as
+    ///   zeros) extends the file in place: only the bytes from the old size
+    ///   on are written, into the unused tail of the last cluster and into
+    ///   newly allocated clusters. One intent-log transaction links the old
+    ///   tail's FAT entry to the new clusters and updates the dirent size,
+    ///   and `data ≺ FAT ≺ dirent` edges keep the fallback path without the
+    ///   log old-xor-new too. See [`Fat32::append_contents`].
+    /// * **`0 < offset < size`** patches a copy of the file and rewrites it
+    ///   through [`Fat32::write_file`]'s logged copy-on-write overwrite, so
+    ///   an overwrite stays atomic.
+    ///
+    /// An empty `data` at a non-zero offset writes nothing. A write whose
+    /// end passes the FAT32 4 GiB file limit fails with
+    /// [`FsError::TooLarge`] before anything is touched.
+    pub fn write_at(
+        &self,
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+        p: &str,
+        offset: u32,
+        data: &[u8],
+    ) -> FsResult<()> {
+        if offset == 0 {
+            return self.write_file(dev, bc, p, data);
+        }
+        if data.is_empty() {
+            return Ok(());
+        }
+        let end = u32::try_from(data.len())
+            .ok()
+            .and_then(|len| offset.checked_add(len))
+            .ok_or_else(|| {
+                FsError::TooLarge(format!(
+                    "{} bytes at {offset} pass the FAT32 file size limit",
+                    data.len()
+                ))
+            })?;
+        let entry = self.lookup(dev, bc, p)?;
+        if entry.is_dir {
+            return Err(FsError::IsADirectory(p.to_string()));
+        }
+        if offset >= entry.size {
+            return self.with_meta_txn(dev, bc, |fs, dev, bc| {
+                fs.append_contents(dev, bc, p, &entry, offset, data)
+            });
+        }
+        let mut whole = self.read_file(dev, bc, p)?;
+        let (off, end) = (offset as usize, end as usize);
+        if whole.len() < end {
+            whole.resize(end, 0);
+        }
+        whole[off..end].copy_from_slice(data);
+        self.write_file(dev, bc, p, &whole)
+    }
+
+    /// The in-place extension behind [`Fat32::write_at`]: the file's bytes
+    /// `[entry.size, offset)` become zeros and the next `data.len()` bytes
+    /// become `data`; no byte below `entry.size` is rewritten. The caller
+    /// has checked that the new end fits a FAT32 file size. Runs inside the
+    /// caller's metadata transaction, which logs the FAT sectors (the new
+    /// clusters' entries and the old tail's link) and the dirent sector as
+    /// one record. New clusters skip the zero fill because every one is
+    /// written in full. Failures unwind the new clusters and the link, so
+    /// the file keeps its old chain and size.
+    fn append_contents(
+        &self,
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+        p: &str,
+        entry: &FatEntry,
+        offset: u32,
+        data: &[u8],
+    ) -> FsResult<()> {
+        let chain = if entry.first_cluster == 0 {
+            Vec::new()
+        } else {
+            self.chain(dev, bc, entry.first_cluster)?
+        };
+        let size = entry.size as usize;
+        let offset = offset as usize;
+        let end = offset.saturating_add(data.len());
+        if chain.len() < size.div_ceil(CLUSTER_SIZE) {
+            return Err(FsError::Corrupt(format!("chain too short for {p}")));
+        }
+        let needed = end.div_ceil(CLUSTER_SIZE).saturating_sub(chain.len());
+        let fresh = self.alloc_chain(dev, bc, needed, false, false)?;
+        let result = (|| {
+            let mut written = self.write_chain_tail(dev, bc, &chain, size, offset, data)?;
+            // The new clusters hold file bytes from `base` on.
+            let base = chain.len() * CLUSTER_SIZE;
+            let start = offset.max(base);
+            let lead = start - base;
+            let tail_data = data.get(start - offset..).unwrap_or(&[]);
+            self.write_chain_data(dev, bc, &fresh, lead, tail_data)?;
+            for (first, count) in cluster_runs(&fresh) {
+                written.push((
+                    self.cluster_to_sector(first)?,
+                    count as u64 * SECTORS_PER_CLUSTER as u64,
+                ));
+            }
+            Ok(written)
+        })();
+        let written = match result {
+            Ok(w) => w,
+            Err(e) => {
+                self.unwind_chain(dev, bc, &fresh);
+                return Err(e);
+            }
+        };
+        // The link: the old tail's entry stops being end-of-chain.
+        let link = match (chain.last(), fresh.first()) {
+            (Some(&last), Some(&first)) => {
+                if let Err(e) = self.fat_set(dev, bc, last, first) {
+                    self.unwind_chain(dev, bc, &fresh);
+                    return Err(e);
+                }
+                Some(last)
+            }
+            _ => None,
+        };
+        let head = chain.first().or(fresh.first()).copied().unwrap_or(0);
+        let dirent_sector = match self.update_dirent_for(dev, bc, p, head, end as u32) {
+            Ok(s) => s,
+            Err(e) => {
+                if let Some(last) = link {
+                    let _ = self.fat_set(dev, bc, last, FAT_EOC);
+                }
+                self.unwind_chain(dev, bc, &fresh);
+                return Err(e);
+            }
+        };
+        // data ≺ FAT: each new entry waits for its own cluster's data, and
+        // the link waits for every new entry, so a chain that reaches the
+        // new clusters never meets a free entry or unwritten data.
+        let fat_sectors = self.order_data_before_fat(bc, &fresh)?;
+        if let Some(last) = link {
+            let (link_sector, _) = self.fat_sector_of(last);
+            for &f in fat_sectors.iter().filter(|&&f| f != link_sector) {
+                bc.add_dependency(link_sector, 1, f, 1);
+            }
+            for &(lba, count) in &written {
+                bc.add_dependency(link_sector, 1, lba, count);
+            }
+            bc.add_dependency(dirent_sector, 1, link_sector, 1);
+        }
+        // FAT ≺ dirent: the new size is published last.
+        for &f in &fat_sectors {
+            bc.add_dependency(dirent_sector, 1, f, 1);
+        }
+        for &(lba, count) in &written {
+            bc.add_dependency(dirent_sector, 1, lba, count);
+        }
+        Ok(())
+    }
+
+    /// Writes the file bytes from `size` to the end of `data` (placed at
+    /// `offset`) that fall in the clusters the file already owns: zeros up
+    /// to `offset`, then `data`. Only the sectors holding those bytes are
+    /// written; a sector that also holds bytes below `size` is read first,
+    /// so they go back unchanged. Returns the written sector runs.
+    fn write_chain_tail(
+        &self,
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+        chain: &[u32],
+        size: usize,
+        offset: usize,
+        data: &[u8],
+    ) -> FsResult<Vec<(u64, u64)>> {
+        let mut written = Vec::new();
+        let stop = offset
+            .saturating_add(data.len())
+            .min(chain.len().saturating_mul(CLUSTER_SIZE));
+        let mut pos = size;
+        while pos < stop {
+            let ci = pos / CLUSTER_SIZE;
+            let cluster = *chain
+                .get(ci)
+                .ok_or_else(|| FsError::Corrupt("chain shorter than its file".into()))?;
+            let base = ci.saturating_mul(CLUSTER_SIZE);
+            let upto = base.saturating_add(CLUSTER_SIZE).min(stop);
+            // Whole sectors, from the one holding `pos` to the one holding
+            // the last byte below `upto`; `first` is the file offset of the
+            // first of them.
+            let skip = (pos - base) / BLOCK_SIZE;
+            let count = (upto - base).div_ceil(BLOCK_SIZE) - skip;
+            let first = base.saturating_add(skip.saturating_mul(BLOCK_SIZE));
+            let lba = self.cluster_to_sector(cluster)?.saturating_add(skip as u64);
+            let mut buf = vec![0u8; count.saturating_mul(BLOCK_SIZE)];
+            if pos > first {
+                // The old bytes of the sector holding the old end.
+                let mut old = vec![0u8; BLOCK_SIZE];
+                bc.read(dev, lba, &mut old)?;
+                let keep = pos - first;
+                buf.get_mut(..keep)
+                    .zip(old.get(..keep))
+                    .ok_or_else(|| FsError::Invalid("tail sector overrun".into()))
+                    .map(|(dst, src)| dst.copy_from_slice(src))?;
+            }
+            let lo = pos.max(offset);
+            if lo < upto {
+                buf.get_mut(lo - first..upto - first)
+                    .zip(data.get(lo - offset..upto - offset))
+                    .ok_or_else(|| FsError::Invalid("append data overrun".into()))
+                    .map(|(dst, src)| dst.copy_from_slice(src))?;
+            }
+            bc.write_range(dev, lba, count as u64, &buf)?;
+            written.push((lba, count as u64));
+            pos = upto;
+        }
+        Ok(written)
+    }
+
+    /// Records `data ≺ FAT` for freshly written clusters: each FAT sector
+    /// waits only for the data of the clusters whose entries it holds, so
+    /// a chain of n clusters costs O(n) edges. Returns the FAT sectors, for
+    /// the caller's `FAT ≺ dirent` edges.
+    fn order_data_before_fat(
+        &self,
+        bc: &mut BufCache,
+        clusters: &[u32],
+    ) -> FsResult<std::collections::BTreeSet<u64>> {
+        let mut by_sector: std::collections::BTreeMap<u64, Vec<u32>> =
+            std::collections::BTreeMap::new();
+        for &c in clusters {
+            by_sector
+                .entry(self.fat_sector_of(c).0)
+                .or_default()
+                .push(c);
+        }
+        for (&f, mapped) in &by_sector {
+            for (first, count) in cluster_runs(mapped) {
+                bc.add_dependency(
+                    f,
+                    1,
+                    self.cluster_to_sector(first)?,
+                    count as u64 * SECTORS_PER_CLUSTER as u64,
+                );
+            }
+        }
+        Ok(by_sector.into_keys().collect())
+    }
+
     /// The asynchronous new-file write: allocate, fill, link, then publish
     /// via the dirent, with write-order dependencies registered so the drain
     /// commits the file bottom-up.
@@ -1071,25 +1321,13 @@ impl Fat32 {
         // skips the redundant zero fill.
         let clusters =
             self.alloc_chain(dev, bc, data.len().div_ceil(CLUSTER_SIZE), false, false)?;
-        if let Err(e) = self.write_chain_data(dev, bc, &clusters, data) {
+        if let Err(e) = self.write_chain_data(dev, bc, &clusters, 0, data) {
             self.unwind_chain(dev, bc, &clusters);
             return Err(e);
         }
         // data ≺ FAT: no FAT sector of the chain may land before the
         // clusters it maps.
-        let data_runs = cluster_runs(&clusters);
-        let fat_sectors: std::collections::BTreeSet<u64> =
-            clusters.iter().map(|&c| self.fat_sector_of(c).0).collect();
-        for &f in &fat_sectors {
-            for &(first, count) in &data_runs {
-                bc.add_dependency(
-                    f,
-                    1,
-                    self.cluster_to_sector(first)?,
-                    count as u64 * SECTORS_PER_CLUSTER as u64,
-                );
-            }
-        }
+        let fat_sectors = self.order_data_before_fat(bc, &clusters)?;
         // FAT ≺ dirent: the entry publishing the file goes last.
         let Some(&head) = clusters.first() else {
             return Err(FsError::Invalid(
@@ -1106,7 +1344,7 @@ impl Fat32 {
         for &f in &fat_sectors {
             bc.add_dependency(dirent_sector, 1, f, 1);
         }
-        for &(first, count) in &data_runs {
+        for (first, count) in cluster_runs(&clusters) {
             bc.add_dependency(
                 dirent_sector,
                 1,
@@ -1157,7 +1395,7 @@ impl Fat32 {
         // skips the redundant zero fill.
         let clusters =
             self.alloc_chain(dev, bc, data.len().div_ceil(CLUSTER_SIZE), false, false)?;
-        if let Err(e) = self.write_chain_data(dev, bc, &clusters, data) {
+        if let Err(e) = self.write_chain_data(dev, bc, &clusters, 0, data) {
             self.unwind_chain(dev, bc, &clusters);
             return Err(e);
         }
@@ -1191,14 +1429,17 @@ impl Fat32 {
         Ok(())
     }
 
-    /// Writes `data` across the chain's clusters, merging contiguous cluster
-    /// runs (the common case for a freshly allocated chain) into single
-    /// multi-cluster commands.
+    /// Fills the chain's clusters completely: `lead` zero bytes, then
+    /// `data`, then zeros to the end of the last cluster. Contiguous cluster
+    /// runs (the common case for a freshly allocated chain) travel as single
+    /// multi-cluster commands, and no buffer larger than one run is built,
+    /// so a hole of any size costs no memory beyond a run.
     fn write_chain_data(
         &self,
         dev: &mut dyn BlockDevice,
         bc: &mut BufCache,
         clusters: &[u32],
+        lead: usize,
         data: &[u8],
     ) -> FsResult<()> {
         let mut ci = 0usize;
@@ -1206,8 +1447,12 @@ impl Fat32 {
             let byte_start = ci * CLUSTER_SIZE;
             let run_bytes = count as usize * CLUSTER_SIZE;
             let mut buf = vec![0u8; run_bytes];
-            let end = (byte_start + run_bytes).min(data.len());
-            buf[..end - byte_start].copy_from_slice(&data[byte_start..end]);
+            // The run's slice of the data, in chain byte positions.
+            let lo = byte_start.max(lead);
+            let hi = (byte_start + run_bytes).min(lead + data.len());
+            if lo < hi {
+                buf[lo - byte_start..hi - byte_start].copy_from_slice(&data[lo - lead..hi - lead]);
+            }
             let sector = self.cluster_to_sector(first)?;
             bc.write_range(dev, sector, count as u64 * SECTORS_PER_CLUSTER as u64, &buf)?;
             ci += count as usize;
@@ -2051,14 +2296,10 @@ mod tests {
                 let data = vec![step as u8; rng.below(128 * 1024)];
                 let result = match rng.below(5) {
                     0 | 1 => fs.write_file(&mut dev, &mut bc, &path, &data),
-                    // The kernel's write at an offset: read-modify-write of
-                    // the whole file.
-                    2 => fs
-                        .read_file(&mut dev, &mut bc, &path)
-                        .and_then(|mut whole| {
-                            whole.extend_from_slice(&data[..data.len() / 4]);
-                            fs.write_file(&mut dev, &mut bc, &path, &whole)
-                        }),
+                    // The kernel's append: a positional write at the end.
+                    2 => fs.lookup(&mut dev, &mut bc, &path).and_then(|e| {
+                        fs.write_at(&mut dev, &mut bc, &path, e.size, &data[..data.len() / 4])
+                    }),
                     3 => fs.remove(&mut dev, &mut bc, &path),
                     _ => fs
                         .create(&mut dev, &mut bc, &format!("/d{}", rng.below(2)), true)
@@ -2122,5 +2363,204 @@ mod tests {
             fs.read_file(&mut dev, &mut bc, "/a/b/c/deep.txt").unwrap(),
             b"deep"
         );
+    }
+
+    /// Deterministic bytes for the positional-write tests.
+    fn bytes(seed: u8, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed) | 1)
+            .collect()
+    }
+
+    fn chain_of(fs: &Fat32, dev: &mut MemDisk, bc: &mut BufCache, p: &str) -> Vec<u32> {
+        let entry = fs.lookup(dev, bc, p).unwrap();
+        fs.chain(dev, bc, entry.first_cluster).unwrap()
+    }
+
+    #[test]
+    fn append_keeps_the_existing_cluster_prefix() {
+        let (mut dev, mut bc, fs) = fresh_volume();
+        let old = bytes(1, 3 * CLUSTER_SIZE + 700);
+        fs.write_file(&mut dev, &mut bc, "/save.sav", &old).unwrap();
+        let before = chain_of(&fs, &mut dev, &mut bc, "/save.sav");
+        let more = bytes(2, 2 * CLUSTER_SIZE);
+        fs.write_at(&mut dev, &mut bc, "/save.sav", old.len() as u32, &more)
+            .unwrap();
+        let after = chain_of(&fs, &mut dev, &mut bc, "/save.sav");
+        assert_eq!(
+            after[..before.len()],
+            before[..],
+            "the append extends the chain instead of replacing it"
+        );
+        assert!(after.len() > before.len());
+    }
+
+    #[test]
+    fn append_allocates_only_the_missing_clusters() {
+        let (mut dev, mut bc, fs) = fresh_volume();
+        let old = bytes(1, 5000);
+        fs.write_file(&mut dev, &mut bc, "/save.sav", &old).unwrap();
+        let old_clusters = chain_of(&fs, &mut dev, &mut bc, "/save.sav").len();
+        let free0 = fs.free_clusters(&mut dev, &mut bc).unwrap() as usize;
+        let more = bytes(2, 9000);
+        fs.write_at(&mut dev, &mut bc, "/save.sav", old.len() as u32, &more)
+            .unwrap();
+        let new_size = old.len() + more.len();
+        let expect = new_size.div_ceil(CLUSTER_SIZE) - old_clusters;
+        let free1 = fs.free_clusters(&mut dev, &mut bc).unwrap() as usize;
+        assert_eq!(free0 - free1, expect, "clusters allocated by the append");
+        assert_eq!(
+            chain_of(&fs, &mut dev, &mut bc, "/save.sav").len(),
+            new_size.div_ceil(CLUSTER_SIZE)
+        );
+    }
+
+    #[test]
+    fn append_then_flush_writes_only_the_new_sectors_and_metadata() {
+        let (mut dev, mut bc, fs) = fresh_volume();
+        let old = bytes(1, 20_000);
+        fs.write_file(&mut dev, &mut bc, "/save.sav", &old).unwrap();
+        bc.flush(&mut dev).unwrap();
+        let more = bytes(2, 10_000);
+        let before = dev.stats().blocks;
+        fs.write_at(&mut dev, &mut bc, "/save.sav", old.len() as u32, &more)
+            .unwrap();
+        fs.commit_pending(&mut dev, &mut bc).unwrap();
+        bc.flush(&mut dev).unwrap();
+        let moved = dev.stats().blocks - before;
+        let new_size = old.len() + more.len();
+        let old_clusters = old.len().div_ceil(CLUSTER_SIZE);
+        // The old tail cluster from the sector holding the old end, plus
+        // every new cluster in full.
+        let tail_sectors = (old_clusters * CLUSTER_SIZE - old.len()).div_ceil(BLOCK_SIZE) as u64;
+        let new_sectors = ((new_size.div_ceil(CLUSTER_SIZE) - old_clusters)
+            * SECTORS_PER_CLUSTER as usize) as u64;
+        // One FAT sector (this small chain's entries share one) and the
+        // dirent, each written home and once into the log record, plus the
+        // record header and its clear.
+        let meta = 2;
+        let bound = tail_sectors + new_sectors + 2 * meta + 2;
+        assert!(
+            moved <= bound,
+            "append moved {moved} blocks; the new bytes and metadata need at most {bound}"
+        );
+        assert!(
+            moved < (new_size / BLOCK_SIZE) as u64,
+            "fewer blocks than a whole-file rewrite"
+        );
+        let mut cold = BufCache::default();
+        let fs2 = Fat32::mount(&mut dev, &mut cold).unwrap();
+        assert_eq!(
+            fs2.read_file(&mut dev, &mut cold, "/save.sav").unwrap(),
+            [old, more].concat()
+        );
+    }
+
+    #[test]
+    fn append_filling_the_tail_cluster_and_crossing_into_a_new_one_round_trips() {
+        let (mut dev, mut bc, fs) = fresh_volume();
+        let old = bytes(1, 3000);
+        fs.write_file(&mut dev, &mut bc, "/save.sav", &old).unwrap();
+        let mut model = old.clone();
+        // 1096 bytes finish the first cluster, the rest start a second;
+        // then two more appends at sizes that are not sector aligned.
+        for (seed, len) in [(2u8, 6000usize), (3, 1), (4, 2 * CLUSTER_SIZE + 333)] {
+            let more = bytes(seed, len);
+            fs.write_at(&mut dev, &mut bc, "/save.sav", model.len() as u32, &more)
+                .unwrap();
+            model.extend_from_slice(&more);
+            assert_eq!(fs.read_file(&mut dev, &mut bc, "/save.sav").unwrap(), model);
+        }
+        bc.flush(&mut dev).unwrap();
+        let mut cold = BufCache::default();
+        let fs2 = Fat32::mount(&mut dev, &mut cold).unwrap();
+        assert_eq!(
+            fs2.read_file(&mut dev, &mut cold, "/save.sav").unwrap(),
+            model
+        );
+    }
+
+    #[test]
+    fn writes_past_the_end_read_the_gap_back_as_zeros() {
+        let (mut dev, mut bc, fs) = fresh_volume();
+        // A hole in a file that has clusters: part of the gap lies in the
+        // old tail cluster, part in whole new clusters.
+        let old = bytes(1, 100);
+        fs.write_file(&mut dev, &mut bc, "/hole.bin", &old).unwrap();
+        let off = 3 * CLUSTER_SIZE + 17;
+        fs.write_at(&mut dev, &mut bc, "/hole.bin", off as u32, b"tail")
+            .unwrap();
+        let mut model = old.clone();
+        model.resize(off, 0);
+        model.extend_from_slice(b"tail");
+        assert_eq!(fs.read_file(&mut dev, &mut bc, "/hole.bin").unwrap(), model);
+        // A hole in an empty file: the chain starts with the write.
+        fs.create(&mut dev, &mut bc, "/empty.bin", false).unwrap();
+        fs.write_at(&mut dev, &mut bc, "/empty.bin", 5000, b"x")
+            .unwrap();
+        let mut model2 = vec![0u8; 5000];
+        model2.push(b'x');
+        assert_eq!(
+            fs.read_file(&mut dev, &mut bc, "/empty.bin").unwrap(),
+            model2
+        );
+        bc.flush(&mut dev).unwrap();
+        let mut cold = BufCache::default();
+        let fs2 = Fat32::mount(&mut dev, &mut cold).unwrap();
+        assert_eq!(
+            fs2.read_file(&mut dev, &mut cold, "/hole.bin").unwrap(),
+            model
+        );
+        assert_eq!(
+            fs2.read_file(&mut dev, &mut cold, "/empty.bin").unwrap(),
+            model2
+        );
+        // The end of a write may not pass the FAT32 file size limit.
+        assert!(matches!(
+            fs.write_at(&mut dev, &mut bc, "/hole.bin", u32::MAX - 1, b"abc"),
+            Err(FsError::TooLarge(_))
+        ));
+    }
+
+    #[test]
+    fn overwrites_inside_the_file_stay_atomic() {
+        let old = bytes(1, 3 * CLUSTER_SIZE);
+        let patch = bytes(2, CLUSTER_SIZE + 50);
+        let off = CLUSTER_SIZE + 100;
+        let mut new = old.clone();
+        new[off..off + patch.len()].copy_from_slice(&patch);
+        let setup = || {
+            let (mut dev, mut bc, fs) = fresh_volume();
+            fs.write_file(&mut dev, &mut bc, "/cfg.bin", &old).unwrap();
+            bc.flush(&mut dev).unwrap();
+            (dev, bc, fs)
+        };
+        let total = {
+            let (mut dev, mut bc, fs) = setup();
+            let before = dev.stats().blocks;
+            fs.write_at(&mut dev, &mut bc, "/cfg.bin", off as u32, &patch)
+                .unwrap();
+            assert_eq!(bc.stats().log_txns, 1, "the overwrite is one logged txn");
+            dev.stats().blocks - before
+        };
+        let (mut saw_old, mut saw_new) = (false, false);
+        for k in 0..=total {
+            let (mut dev, mut bc, fs) = setup();
+            dev.power_cut_after(k);
+            let _ = fs.write_at(&mut dev, &mut bc, "/cfg.bin", off as u32, &patch);
+            dev.power_restored();
+            let mut disk = MemDisk::from_image(dev.image().to_vec());
+            let mut cold = BufCache::default();
+            let fs2 = Fat32::mount(&mut disk, &mut cold).unwrap();
+            let got = fs2.read_file(&mut disk, &mut cold, "/cfg.bin").unwrap();
+            if got == old {
+                saw_old = true;
+            } else if got == new {
+                saw_new = true;
+            } else {
+                panic!("cut at {k}/{total}: the overwrite left a mix");
+            }
+        }
+        assert!(saw_old && saw_new, "the sweep covers both outcomes");
     }
 }

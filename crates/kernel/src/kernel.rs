@@ -1034,7 +1034,10 @@ impl Kernel {
 
     pub(crate) fn wake_all(&mut self, channel: WaitChannel) -> usize {
         let mut woken = 0;
-        let ids: Vec<TaskId> = self.tasks.keys().copied().collect();
+        // Wake in id order, not `HashMap` order, so the run queues (and
+        // every modeled number downstream) repeat exactly from run to run.
+        let mut ids: Vec<TaskId> = self.tasks.keys().copied().collect();
+        ids.sort_unstable();
         for id in ids {
             let mut wake_core = None;
             if let Some(t) = self.tasks.get_mut(&id) {

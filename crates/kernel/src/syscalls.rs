@@ -1146,40 +1146,20 @@ impl Kernel {
                     self.block_current(task, WaitChannel::BlockIo);
                     return Err(KernelError::WouldBlock);
                 }
+                // FAT32 offsets are 32-bit: a larger one is refused here,
+                // an end past 4 GiB inside `Fat32::write_at`.
+                let off = u32::try_from(offset).map_err(|_| {
+                    KernelError::Invalid(format!("FAT write offset {offset} too large"))
+                })?;
                 let fat = self.fatfs_clone()?;
                 let before = self.sd_snapshot();
                 {
                     let mut dev = fat_dev!(self, core);
-                    if offset == 0 {
-                        fat.write_file(&mut dev, &mut self.fat_bufcache, &volume_path, data)?;
-                    } else {
-                        // Read-modify-write for writes at an offset. FAT32
-                        // caps a file at u32::MAX bytes; reject anything that
-                        // would overflow or exceed it before sizing the
-                        // buffer.
-                        let off = usize::try_from(offset)
-                            .ok()
-                            .filter(|&o| o <= u32::MAX as usize)
-                            .ok_or_else(|| {
-                                KernelError::Invalid(format!("FAT write offset {offset} too large"))
-                            })?;
-                        let end = off
-                            .checked_add(data.len())
-                            .filter(|&e| e <= u32::MAX as usize)
-                            .ok_or_else(|| {
-                                KernelError::Invalid(format!(
-                                    "FAT write of {} bytes at {offset} exceeds the FAT32 file size limit",
-                                    data.len()
-                                ))
-                            })?;
-                        let mut whole =
-                            fat.read_file(&mut dev, &mut self.fat_bufcache, &volume_path)?;
-                        if whole.len() < end {
-                            whole.resize(end, 0);
-                        }
-                        whole[off..end].copy_from_slice(data);
-                        fat.write_file(&mut dev, &mut self.fat_bufcache, &volume_path, &whole)?;
-                    }
+                    // `Fat32::write_at` owns the write policy: offset 0
+                    // replaces the file, an offset at or past the end
+                    // extends it in place, one inside it is a logged
+                    // copy-on-write rewrite.
+                    fat.write_at(&mut dev, &mut self.fat_bufcache, &volume_path, off, data)?;
                 }
                 self.charge_sd_delta(core, task, before);
                 self.advance_offset(task, fd, data.len() as u64)?;

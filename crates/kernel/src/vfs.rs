@@ -24,7 +24,9 @@ pub struct OpenFlags {
     pub write: bool,
     /// Create the file if it does not exist.
     pub create: bool,
-    /// Truncate on open.
+    /// Truncate on open. Never read: on FAT32 a write at offset 0
+    /// replaces the whole file (`Fat32::write_at`), which truncates it;
+    /// an xv6fs file keeps any bytes past the end of the write.
     pub truncate: bool,
     /// Non-blocking reads (Prototype 5, for key-polling games).
     pub nonblock: bool,

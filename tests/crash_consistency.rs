@@ -1653,3 +1653,80 @@ fn xv6fs_unlink_rewrite_cut_sweep_never_tears_the_durable_old_file() {
         }
     }
 }
+
+#[test]
+fn fat32_append_cut_sweep_is_old_xor_new() {
+    // A multi-cluster append extends the chain in place: the new bytes go
+    // into the old tail cluster and into fresh clusters, and one logged
+    // transaction links the chain and publishes the new size. Cut at every
+    // persisted block of the append plus its commit: the remount must show
+    // the old size and bytes or the new ones, never a mix, and a chain
+    // that still fits the FAT structure invariants. Runs on the instant
+    // device, on a posted write cache, and with the intent log off, where
+    // the data ≺ FAT ≺ dirent edges alone must keep the order.
+    append_cut_sweep("memdisk", false, true);
+    append_cut_sweep("memdisk posted", true, true);
+    append_cut_sweep("memdisk no log", false, false);
+}
+
+fn append_cut_sweep(medium: &str, posted: bool, logged: bool) {
+    // The old file ends 1,808 bytes into cluster 127, the last one whose
+    // FAT entry shares the first FAT sector (128 entries a sector; clusters
+    // 0-2 are reserved or the root). The append fills that tail and then
+    // three new clusters, whose entries lie in the next FAT sector — so
+    // without the log, the link must wait for those entries.
+    let old = pattern(7, 1, 124 * CLUSTER_BYTES as usize + 1_808);
+    let more = pattern(7, 2, 14_000);
+    let new = [old.clone(), more.clone()].concat();
+    let setup = || {
+        let (mut disk, mut bc, mut fs) = fresh_fat(true);
+        fs.set_intent_log(logged);
+        fs.write_file(&mut disk, &mut bc, "/SAVE.SAV", &old)
+            .unwrap();
+        fs.create(&mut disk, &mut bc, "/OTHER.BIN", false).unwrap();
+        bc.flush(&mut disk).unwrap();
+        disk.set_posted_writes(posted);
+        (disk, bc, fs)
+    };
+    let append = |disk: &mut MemDisk, bc: &mut BufCache, fs: &Fat32| {
+        fs.write_at(disk, bc, "/SAVE.SAV", old.len() as u32, &more)?;
+        fs.commit_pending(disk, bc)?;
+        bc.flush(disk)
+    };
+    let total = {
+        let (mut disk, mut bc, fs) = setup();
+        let before = disk.stats().blocks;
+        append(&mut disk, &mut bc, &fs).unwrap();
+        disk.stats().blocks - before
+    };
+    assert!(total > 24, "[{medium}] the append moves its data blocks");
+    let (mut saw_old, mut saw_new) = (false, false);
+    for k in 0..=total {
+        let (mut disk, mut bc, fs) = setup();
+        disk.power_cut_after(k);
+        let _ = append(&mut disk, &mut bc, &fs);
+        disk.power_restored();
+        let mut disk2 = MemDisk::from_image(disk.image().to_vec());
+        let mut bc2 = BufCache::default();
+        let fs2 = Fat32::mount(&mut disk2, &mut bc2).unwrap();
+        let note = format!("{medium} append cut {k}/{total}");
+        let visible = check_fat_structure(&mut disk2, &mut bc2, &fs2, &note);
+        let content = visible
+            .iter()
+            .find(|(p, _)| p == "/SAVE.SAV")
+            .map(|(_, c)| c.clone())
+            .unwrap_or_else(|| panic!("[{note}] the file vanished"));
+        if content == old {
+            saw_old = true;
+        } else if content == new {
+            saw_new = true;
+        } else {
+            panic!(
+                "[{note}] {} bytes match neither the old nor the new file",
+                content.len()
+            );
+        }
+    }
+    assert!(saw_old, "[{medium}] early cuts keep the old file");
+    assert!(saw_new, "[{medium}] the uncut run lands the append");
+}
